@@ -8,9 +8,11 @@ is monotone and reaches its fixpoint within n rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain, combinations, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .instance import Instance
+if TYPE_CHECKING:
+    from .instance import Instance
 
 
 @dataclass(frozen=True)
@@ -137,3 +139,30 @@ def closure_mask(masks: Sequence[int], thr: Sequence[int], seed_mask: int) -> in
             return act
         act |= add
         pending = still
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v set for every v in vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def members(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in mask; inverse of mask_of."""
+    return frozenset(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def seed_masks(items: Sequence[int], max_size: int, base: int = 0) -> Iterator[int]:
+    """base | mask_of(sub) for every subset sub of items of at most max_size
+    members, in (size, lexicographic) order; base must share no bit with items.
+
+    Each seed is one C-level sum of precomputed single-bit masks, so the
+    enumeration runs no Python bytecode per subset.
+    """
+    bits = [1 << v for v in items]
+    return chain.from_iterable(
+        map(sum, combinations(bits, size), repeat(base))
+        for size in range(min(max_size, len(bits)) + 1)
+    )

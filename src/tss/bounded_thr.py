@@ -21,11 +21,10 @@ activation target and the counts promised during stage 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb, log2
-from typing import Optional
+from typing import Optional, Sequence
 
-from .activation import closure, closure_mask
+from .activation import closure, closure_mask, mask_of, members, seed_masks
 from .instance import Instance, subsets_ascending
 from .mpvc import enum_minimal_pvcs
 
@@ -107,6 +106,36 @@ class SolveStats:
             ("stage2_leaves", self.stage2_leaves),
             ("dp_states", self.dp_states),
         ]
+
+
+def br1_split(
+    nbr: Sequence[frozenset[int]], thr: Sequence[int], free: frozenset[int]
+) -> Optional[tuple[frozenset[int], list[tuple[frozenset[int], frozenset[int]]]]]:
+    """Branching rule BR1 over the free part: (group, children), or None if it does not apply.
+
+    The pivot is the free vertex with the most free neighbors among those with
+    at least thr of them (the smallest id on ties); the group is the pivot plus
+    its thr smallest free neighbors. The children, as (to select, to exclude)
+    pairs over the group, are every split selecting fewer than thr members, in
+    (size, lexicographic) order, then the split selecting the thr neighbors,
+    which activate the pivot, and excluding the pivot.
+    """
+    pivot = -1
+    pivot_deg = -1
+    for v in sorted(free):
+        deg_free = len(nbr[v] & free)
+        if deg_free >= thr[v] and deg_free > pivot_deg:
+            pivot, pivot_deg = v, deg_free
+    if pivot < 0:
+        return None
+    group_t = sorted(nbr[pivot] & free)[: thr[pivot]]
+    group = frozenset(group_t + [pivot])
+    children = [
+        (frozenset(inside), group - frozenset(inside))
+        for inside in subsets_ascending(sorted(group), thr[pivot] - 1)
+    ]
+    children.append((frozenset(group_t), frozenset({pivot})))
+    return group, children
 
 
 class DecisionNeeded(Exception):
@@ -303,39 +332,18 @@ def solve_bounded(
         if len(free) <= gamma * n:
             if stats is not None:
                 stats.br2_leaves += 1
-            base = 0
-            for v in selected:
-                base |= 1 << v
-            budget = k - len(selected)
-            for sub in subsets_ascending(sorted(free), max_size=budget):
-                seed = base
-                for v in sub:
-                    seed |= 1 << v
+            for seed in seed_masks(sorted(free), k - len(selected), mask_of(selected)):
                 if closure_mask(masks, thr, seed).bit_count() >= l:
-                    return selected | frozenset(sub)
+                    return members(seed)
             return None
-        pivot = -1
-        pivot_deg = -1
-        for v in sorted(free):
-            deg_free = len(nbr[v] & free)
-            if deg_free >= thr[v] and deg_free > pivot_deg:
-                pivot, pivot_deg = v, deg_free
-        if pivot >= 0:
-            group_t = sorted(nbr[pivot] & free)[: thr[pivot]]
-            group = sorted(group_t + [pivot])
-            children: list[tuple[frozenset[int], frozenset[int]]] = []
-            for size in range(thr[pivot]):
-                for inside in combinations(group, size):
-                    children.append(
-                        (frozenset(inside), frozenset(group) - frozenset(inside))
-                    )
-            children.append((frozenset(group_t), frozenset({pivot})))
+        split = br1_split(nbr, thr, free)
+        if split is not None:
+            group, children = split
             if stats is not None:
                 stats.br1_apps += 1
-                stats.br1_children.append((thr[pivot], len(children)))
+                stats.br1_children.append((len(group) - 1, len(children)))
             for to_sel, to_exc in children:
-                res = stage1(selected | to_sel, excluded | to_exc,
-                             free - frozenset(group))
+                res = stage1(selected | to_sel, excluded | to_exc, free - group)
                 if res is not None:
                     return res
             return None

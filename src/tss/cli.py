@@ -12,14 +12,15 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from math import log2
 from typing import Optional, Sequence
 
 from .activation import activate, closure
 from .bounded_thr import SolveStats, solve_bounded
-from .degree_ratio import construct_small_pts, solve_ratio_tss
+from .degree_ratio import construct_small_pts, ratio_violator, solve_ratio_tss
 from .dual_thr import solve_dual_perfect
 from .instance import Instance, InstanceFormatError, gen_random, parse_instance, write_instance
-from .mpvc import EnumStats, enum_minimal_pvcs, leaf_count_bound
+from .mpvc import EnumStats, enum_minimal_pvcs, leaf_count_log2_bound
 from .oracle import oracle_min_perfect_tss, oracle_tss_decision
 from .perfect_small_thr import PerfectStats, solve_perfect_thr2, solve_perfect_thr3
 from .reductions import reduce_clique_to_tss
@@ -68,7 +69,7 @@ def run(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (InstanceFormatError, FileNotFoundError, ValueError) as exc:
+    except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -157,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--d", type=int, default=None)
     p_bench.add_argument("--jobs", type=int, default=1)
     _query_flags(p_bench)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--force", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -177,8 +177,6 @@ def _query_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--stats", action="store_true")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--force", action="store_true")
@@ -211,10 +209,29 @@ def _parse_ids(text: str, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _ratio_holds(inst: Instance) -> bool:
-    return all(
-        inst.thr[v] <= -(-inst.graph.degree(v) // 3) for v in range(inst.n)
-    )
+def _decide(inst: Instance, algo: str, k: int, l: int, t: Optional[int],
+            gamma: Optional[float], stats: Optional[SolveStats]) -> Optional[frozenset[int]]:
+    """Run the decision solver named algo ("oracle", "third" or "bounded"); solvers
+    are looked up as module globals at call time, so rebinding those names reaches it."""
+    if algo == "oracle":
+        return oracle_tss_decision(inst, k, l)
+    if algo == "third":
+        return solve_ratio_tss(inst, k, l)
+    t = t if t is not None else max(1, inst.max_threshold())
+    return solve_bounded(inst, k, l, t, gamma=gamma, stats=stats)
+
+
+def _min_perfect(inst: Instance, algo: str, d: Optional[int],
+                 stats: Optional[PerfectStats] = None) -> frozenset[int]:
+    """Run the perfect-set solver named algo ("oracle", "thr2", "thr3" or "dual")."""
+    if algo == "oracle":
+        return oracle_min_perfect_tss(inst)
+    if algo == "thr2":
+        return solve_perfect_thr2(inst, stats)
+    if algo == "thr3":
+        return solve_perfect_thr3(inst, stats)
+    d = d if d is not None else max(0, max(inst.dual_values(), default=0))
+    return solve_dual_perfect(inst, d)
 
 
 def _emit(report: SolveReport, args) -> None:
@@ -232,20 +249,12 @@ def _cmd_solve(args) -> int:
     k, l = _query_of(inst, args)
     algo = args.algo
     if algo == "auto":
-        algo = "third" if _ratio_holds(inst) else "bounded"
-    stats: dict[str, int] = {}
+        algo = "third" if ratio_violator(inst) is None else "bounded"
+    solve_stats = SolveStats() if args.stats and algo == "bounded" else None
     start = time.perf_counter()
-    if algo == "oracle":
-        witness = oracle_tss_decision(inst, k, l)
-    elif algo == "third":
-        witness = solve_ratio_tss(inst, k, l)
-    else:
-        t = args.t if args.t is not None else max(1, inst.max_threshold())
-        solve_stats = SolveStats() if args.stats else None
-        witness = solve_bounded(inst, k, l, t, gamma=args.gamma, stats=solve_stats)
-        if solve_stats is not None:
-            stats = dict(solve_stats.scalar_items())
+    witness = _decide(inst, algo, k, l, args.t, args.gamma, solve_stats)
     elapsed = (time.perf_counter() - start) * 1000
+    stats = {} if solve_stats is None else dict(solve_stats.scalar_items())
     if witness is None:
         _emit(SolveReport("NO", None, None, algo, elapsed, stats), args)
         return 1
@@ -257,38 +266,23 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+PERFECT_STAT_KEYS = ("rr1_moves", "rr3_moves", "br1_apps", "r4_apps", "r5_apps",
+                     "part1_found", "leaf_bruteforces")
+
+
 def _cmd_perfect(args) -> int:
     inst = _load(args.file, args.force)
     algo = args.algo
     if algo == "auto":
-        if inst.max_threshold() <= 2:
-            algo = "thr2"
-        elif inst.max_threshold() <= 3:
-            algo = "thr3"
-        else:
-            algo = "dual"
-    stats: dict[str, int] = {}
+        top = inst.max_threshold()
+        algo = "thr2" if top <= 2 else ("thr3" if top <= 3 else "dual")
+    pstats = PerfectStats() if args.stats and algo in ("thr2", "thr3") else None
     start = time.perf_counter()
-    if algo == "oracle":
-        answer = oracle_min_perfect_tss(inst)
-    elif algo == "thr2" or algo == "thr3":
-        pstats = PerfectStats() if args.stats else None
-        solver = solve_perfect_thr2 if algo == "thr2" else solve_perfect_thr3
-        answer = solver(inst, pstats)
-        if pstats is not None:
-            stats = {
-                "rr1_moves": pstats.rr1_moves,
-                "rr3_moves": pstats.rr3_moves,
-                "br1_apps": pstats.br1_apps,
-                "r4_apps": pstats.r4_apps,
-                "r5_apps": pstats.r5_apps,
-                "part1_found": int(pstats.part1_found),
-                "leaf_bruteforces": pstats.leaf_bruteforces,
-            }
-    else:
-        d = args.d if args.d is not None else max(0, max(inst.dual_values(), default=0))
-        answer = solve_dual_perfect(inst, d)
+    answer = _min_perfect(inst, algo, args.d, pstats)
     elapsed = (time.perf_counter() - start) * 1000
+    stats = {} if pstats is None else {
+        key: int(getattr(pstats, key)) for key in PERFECT_STAT_KEYS
+    }
     if len(closure(inst, answer)) != inst.n:
         raise RuntimeError("internal: perfect target set failed re-verification")
     report = SolveReport("YES", sorted(v + 1 for v in answer), inst.n, algo, elapsed, stats)
@@ -321,10 +315,11 @@ def _cmd_enum_mpvc(args) -> int:
         print(f"branch_nodes={stats.branch_nodes}")
         print(f"leaf_nodes={stats.leaf_nodes}")
         print(f"emitted={stats.emitted}")
-    bound = (inst.n**2 + 1) * leaf_count_bound(inst.n, args.t)
-    if stats.leaf_nodes > bound:
+    log2_bound = log2(inst.n**2 + 1) + leaf_count_log2_bound(inst.n, args.t)
+    if log2(stats.leaf_nodes) > log2_bound:
         print(
-            f"warning: {stats.leaf_nodes} recursion leaves exceed the soft bound {bound:.0f}",
+            f"warning: {stats.leaf_nodes} recursion leaves exceed the soft bound"
+            f" 2^{log2_bound:.1f}",
             file=sys.stderr,
         )
     return 0
@@ -429,29 +424,16 @@ def _bench_row(task: tuple) -> str:
         count = sum(1 for _ in enum_minimal_pvcs(inst.graph, t, stats))
         answer, size, leaves = "YES", count, stats.leaf_nodes
     elif algo in ("thr2", "thr3", "dual"):
-        if algo == "thr2":
-            result = solve_perfect_thr2(inst)
-        elif algo == "thr3":
-            result = solve_perfect_thr3(inst)
-        else:
-            d = d_flag if d_flag is not None else max(0, max(inst.dual_values(), default=0))
-            result = solve_dual_perfect(inst, d)
-        answer, size = "YES", len(result)
+        answer, size = "YES", len(_min_perfect(inst, algo, d_flag))
     else:
         k = k_flag if k_flag is not None else (inst.query[0] if inst.query else None)
         l = l_flag if l_flag is not None else (inst.query[1] if inst.query else None)
         if k is None or l is None:
             raise ValueError(f"{path}: no query for algorithm {algo}")
-        if algo == "oracle":
-            witness = oracle_tss_decision(inst, k, l)
-        elif algo == "third":
-            witness = solve_ratio_tss(inst, k, l)
-        else:
-            stats = SolveStats()
-            t = t_flag if t_flag is not None else max(1, inst.max_threshold())
-            witness = solve_bounded(inst, k, l, t, stats=stats)
-            leaves = stats.br2_leaves + stats.stage2_leaves
-            dp_states = stats.dp_states
+        solve_stats = SolveStats()
+        witness = _decide(inst, algo, k, l, t_flag, None, solve_stats)
+        leaves = solve_stats.br2_leaves + solve_stats.stage2_leaves
+        dp_states = solve_stats.dp_states
         answer = "NO" if witness is None else "YES"
         size = None if witness is None else len(witness)
     ms = (time.perf_counter() - start) * 1000

@@ -165,9 +165,14 @@ def solve_ratio_tss(inst: Instance, k: int, l: int) -> Optional[frozenset[int]]:
     return None
 
 
+def ratio_violator(inst: Instance) -> Optional[int]:
+    """The first vertex whose threshold exceeds ceil(deg/3), or None when the cap holds."""
+    return next(
+        (v for v in range(inst.n) if inst.thr[v] > -(-inst.graph.degree(v) // 3)), None
+    )
+
+
 def _check_ratio(inst: Instance) -> None:
-    for v in range(inst.n):
-        if inst.thr[v] > -(-inst.graph.degree(v) // 3):
-            raise ValueError(
-                f"threshold {inst.thr[v]} of vertex {v} exceeds ceil(deg/3)"
-            )
+    v = ratio_violator(inst)
+    if v is not None:
+        raise ValueError(f"threshold {inst.thr[v]} of vertex {v} exceeds ceil(deg/3)")

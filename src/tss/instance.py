@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .activation import mask_of
+
 
 class InstanceFormatError(ValueError):
     """Raised for malformed instance text; the message names the offending line."""
@@ -78,13 +80,7 @@ class Graph:
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighborhood bitmasks (bit v set iff v is a neighbor)."""
         if self._masks is None:
-            masks = []
-            for a in self.adj:
-                m = 0
-                for v in a:
-                    m |= 1 << v
-                masks.append(m)
-            self._masks = tuple(masks)
+            self._masks = tuple(mask_of(a) for a in self.adj)
         return self._masks
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -347,7 +343,7 @@ def _regular_edges(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
             edges.add((min(u, v), max(u, v)))
         if ok:
             return sorted(edges)
-    raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} vertices")
+    raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 
 def subsets_ascending(items: Sequence[int], max_size: Optional[int] = None) -> Iterator[tuple[int, ...]]:

@@ -12,6 +12,7 @@ and filters by minimality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log2
 from typing import Iterator, Optional
 
 from .instance import Graph
@@ -91,6 +92,7 @@ def _branch(
             yield cand
 
 
-def leaf_count_bound(n: int, t: int) -> float:
-    """Soft sanity bound on recursion leaves: (2^t - 1)^(n/t) * 2^((t-1)n/t)."""
-    return (2**t - 1) ** (n / t) * 2 ** ((t - 1) * n / t)
+def leaf_count_log2_bound(n: int, t: int) -> float:
+    """log2 of the soft bound (2^t - 1)^(n/t) * 2^((t-1)n/t) on recursion leaves;
+    the bound itself overflows a float for large t."""
+    return n / t * log2(2**t - 1) + (t - 1) * n / t

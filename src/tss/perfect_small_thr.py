@@ -16,12 +16,12 @@ finishing each stable branch by exhausting the free part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import floor
 from typing import Optional
 
-from .activation import closure, closure_mask, is_perfect_target_set
-from .instance import Graph, Instance
+from .activation import closure, closure_mask, is_perfect_target_set, mask_of, members, seed_masks
+from .bounded_thr import br1_split
+from .instance import Graph, Instance, subsets_ascending
 
 # Brute-force cutoff fractions for the two solvers: part 1 covers candidate
 # sizes up to (1 - PART1_GAMMA_THR2) * n for thresholds two, and up to
@@ -113,24 +113,17 @@ def _min_perfect_equal(
     leaves = frozenset(
         v for v in range(n_orig, n) if (v - n_orig) % (t + 1) != 0
     )
-    leaf_mask = 0
-    for v in leaves:
-        leaf_mask |= 1 << v
     full_mask = (1 << n) - 1
 
     # Part 1: ascending brute force up to part1_max. Star leaves have one
     # neighbor and threshold t >= 2, so they sit in every perfect target set;
     # only the remaining vertices are enumerated around them.
     others = [v for v in range(n) if v not in leaves]
-    for extra in range(part1_max - t * t + 1):
-        for sub in combinations(others, extra):
-            seed = leaf_mask
-            for v in sub:
-                seed |= 1 << v
-            if closure_mask(masks, thr, seed) == full_mask:
-                if stats is not None:
-                    stats.part1_found = True
-                return leaves | frozenset(sub)
+    for seed in seed_masks(others, part1_max - t * t, mask_of(leaves)):
+        if closure_mask(masks, thr, seed) == full_mask:
+            if stats is not None:
+                stats.part1_found = True
+            return members(seed)
 
     # Part 2: branch and reduce; the incumbent starts at the full vertex set.
     nbr = eq.graph.neighbor_sets()
@@ -140,19 +133,11 @@ def _min_perfect_equal(
     def leaf_bruteforce(selected: frozenset[int], free: frozenset[int]) -> None:
         if stats is not None:
             stats.leaf_bruteforces += 1
-        base = 0
-        for v in selected:
-            base |= 1 << v
-        free_sorted = sorted(free)
-        limit = min(len(free_sorted), len(best[0]) - len(selected) - 1)
-        for size in range(limit + 1):
-            for sub in combinations(free_sorted, size):
-                seed = base
-                for v in sub:
-                    seed |= 1 << v
-                if closure_mask(masks, thr, seed) == full_mask:
-                    best[0] = selected | frozenset(sub)
-                    return
+        limit = len(best[0]) - len(selected) - 1
+        for seed in seed_masks(sorted(free), limit, mask_of(selected)):
+            if closure_mask(masks, thr, seed) == full_mask:
+                best[0] = members(seed)
+                return
 
     def branch(selected: frozenset[int], excluded: frozenset[int],
                free: frozenset[int]) -> None:
@@ -174,26 +159,12 @@ def _min_perfect_equal(
             break
         if len(selected) >= len(best[0]):
             return
-        reach_mask = 0
-        for v in selected | free:
-            reach_mask |= 1 << v
-        if closure_mask(masks, thr, reach_mask) != full_mask:
+        if closure_mask(masks, thr, mask_of(selected | free)) != full_mask:
             return
 
-        pivot = -1
-        pivot_deg = -1
-        for v in sorted(free):
-            deg_free = len(nbr[v] & free)
-            if deg_free >= t and deg_free > pivot_deg:
-                pivot, pivot_deg = v, deg_free
-        if pivot >= 0:
-            group_t = sorted(nbr[pivot] & free)[:t]
-            group = frozenset(group_t + [pivot])
-            children: list[tuple[frozenset[int], frozenset[int]]] = []
-            for size in range(t):
-                for inside in combinations(sorted(group), size):
-                    children.append((frozenset(inside), group - frozenset(inside)))
-            children.append((frozenset(group_t), frozenset({pivot})))
+        split = br1_split(nbr, thr, free)
+        if split is not None:
+            group, children = split
             if stats is not None:
                 stats.br1_apps += 1
                 stats.br1_children.append((t, len(children)))
@@ -231,10 +202,10 @@ def _min_perfect_equal(
                     break
             if trio is not None:
                 group = frozenset(trio)
-                children5 = []
-                for size in range(1, 4):
-                    for inside in combinations(sorted(group), size):
-                        children5.append((frozenset(inside), group - frozenset(inside)))
+                children5 = [
+                    (frozenset(inside), group - frozenset(inside))
+                    for inside in subsets_ascending(sorted(group))
+                ][1:]
                 if stats is not None:
                     stats.r5_apps += 1
                     stats.r5_children.append(len(children5))

@@ -64,6 +64,15 @@ def test_enum_mpvc_count_only(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+def test_enum_mpvc_huge_degree_bound(tmp_path, capsys):
+    # the soft leaf bound (2^t - 1)^(n/t) overflows a float at this t
+    path = _write(tmp_path, "p3.tss", P3)
+    assert run(["enum-mpvc", path, "--t", "1100", "--count-only"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "5"
+    assert "warning" not in captured.err
+
+
 def test_enum_mpvc_lines(tmp_path, capsys):
     path = _write(tmp_path, "p3.tss", P3)
     assert run(["enum-mpvc", path, "--t", "3"]) == 0
@@ -205,10 +214,24 @@ def test_force_flag_clamps_query(tmp_path, capsys):
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run(["solve", "no_such_file.tss"]) == 2
+    assert run(["solve", str(tmp_path)]) == 2
     bad = _write(tmp_path, "bad.tss", "p tss 1 0\nt 1 0\ne 1 1\n")
     assert run(["solve", str(bad)]) == 2
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+    # no simple 10-regular graph on 12 vertices turns up within the retry budget
+    assert run(["gen", "--model", "regular", "--n", "12", "--degree", "10",
+                "--thr-model", "const", "--seed", "1"]) == 2
+    assert "10-regular" in capsys.readouterr().err
+
+
+def test_unread_flags_are_rejected(tmp_path, capsys):
+    path = _write(tmp_path, "k3.tss", K3)
+    assert run(["solve", path, "--jobs", "2"]) == 2
+    assert run(["solve", path, "--seed", "1"]) == 2
+    assert run(["perfect", path, "--jobs", "2"]) == 2
+    assert run(["perfect", path, "--seed", "1"]) == 2
+    assert run(["bench", path, "--seed", "1"]) == 2
 
 
 def test_cross_algorithm_agreement_on_generated_corpus(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tss import Graph, covered_edges, enum_minimal_pvcs, is_minimal_pvc, oracle_enum_mpvc
-from tss.mpvc import EnumStats, leaf_count_bound
+from tss.mpvc import EnumStats, leaf_count_log2_bound
 
 from helpers import rand_bounded_degree_graph
 
@@ -88,4 +88,4 @@ def test_stats_counters():
         assert stats.emitted == emitted
         assert stats.leaf_nodes >= 1
     # the recursion-leaf budget itself is checked softly in bench mode only
-    assert leaf_count_bound(8, 3) > 0
+    assert leaf_count_log2_bound(8, 3) > 0
