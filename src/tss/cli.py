@@ -211,8 +211,10 @@ def _parse_ids(text: str, n: int) -> frozenset[int]:
 
 def _decide(inst: Instance, algo: str, k: int, l: int, t: Optional[int],
             gamma: Optional[float], stats: Optional[SolveStats]) -> Optional[frozenset[int]]:
-    """Run the decision solver named algo ("oracle", "third" or "bounded"); solvers
-    are looked up as module globals at call time, so rebinding those names reaches it."""
+    """Run the decision solver named algo ("oracle", "third" or "bounded").
+
+    Solvers are module globals looked up at call time, so a rebound name applies.
+    """
     if algo == "oracle":
         return oracle_tss_decision(inst, k, l)
     if algo == "third":
