@@ -20,13 +20,14 @@ activation target and the counts promised during stage 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, log2
 from typing import Optional, Sequence
 
 from .activation import closure, closure_mask, mask_of, members, seed_masks
 from .instance import Instance, subsets_ascending
 from .mpvc import enum_minimal_pvcs
+from .stats import Stats
 
 
 def compute_constants(t: int) -> tuple[float, float]:
@@ -77,35 +78,6 @@ class BranchLeaf:
     quota: dict[int, int]
     membership: dict[int, bool]
     projected: frozenset[int]
-
-
-@dataclass
-class SolveStats:
-    """Instrumentation counters for one solve_bounded run."""
-
-    rr1_moves: int = 0
-    br1_apps: int = 0
-    br1_children: list[tuple[int, int]] = field(default_factory=list)  # (threshold, children)
-    br2_leaves: int = 0
-    stage2_covers: int = 0
-    quota_branches: list[tuple[int, int]] = field(default_factory=list)
-    member_branches: int = 0
-    stage2_leaves: int = 0
-    dp_states: int = 0
-    pair_variants: dict[int, set[tuple[int, int]]] = field(default_factory=dict)
-
-    def scalar_items(self) -> list[tuple[str, int]]:
-        return [
-            ("rr1_moves", self.rr1_moves),
-            ("br1_apps", self.br1_apps),
-            ("br1_children", sum(c for _, c in self.br1_children)),
-            ("br2_leaves", self.br2_leaves),
-            ("stage2_covers", self.stage2_covers),
-            ("quota_branches", sum(c for _, c in self.quota_branches)),
-            ("member_branches", self.member_branches),
-            ("stage2_leaves", self.stage2_leaves),
-            ("dp_states", self.dp_states),
-        ]
 
 
 def br1_split(
@@ -222,7 +194,7 @@ def _project(inst: Instance, state: SearchState, ctx: _Ctx) -> frozenset[int]:
 
 
 def stage3_dp(leaf: BranchLeaf, k: int, l: int,
-              stats: Optional[SolveStats] = None) -> Optional[frozenset[int]]:
+              stats: Optional[Stats] = None) -> Optional[frozenset[int]]:
     """Smallest completion of the leaf's known selection meeting the activation target.
 
     Returns the extra picks among the still-undecided vertices, or None when no
@@ -293,7 +265,7 @@ def solve_bounded(
     *,
     gamma: Optional[float] = None,
     apply_rr1: bool = True,
-    stats: Optional[SolveStats] = None,
+    stats: Optional[Stats] = None,
     leaf_sink: Optional[list[BranchLeaf]] = None,
 ) -> Optional[frozenset[int]]:
     """Find X with |X| <= k activating at least l vertices, or None.

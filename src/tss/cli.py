@@ -7,23 +7,25 @@ or input errors. Output is deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Optional, Sequence
 
 from .activation import activate, closure
-from .bounded_thr import SolveStats, solve_bounded
+from .bounded_thr import solve_bounded
 from .degree_ratio import construct_small_pts, ratio_violator, solve_ratio_tss
 from .dual_thr import solve_dual_perfect
 from .instance import Instance, InstanceFormatError, gen_random, parse_instance, write_instance
-from .mpvc import EnumStats, enum_minimal_pvcs, leaf_count_log2_bound
+from .mpvc import enum_minimal_pvcs, leaf_count_log2_bound
 from .oracle import oracle_min_perfect_tss, oracle_tss_decision
-from .perfect_small_thr import PerfectStats, solve_perfect_thr2, solve_perfect_thr3
+from .perfect_small_thr import solve_perfect_thr2, solve_perfect_thr3
 from .reductions import reduce_clique_to_tss
+from .stats import Stats
 
 
 @dataclass
@@ -35,7 +37,7 @@ class SolveReport:
     activated_count: Optional[int]
     algorithm: str
     elapsed_ms: float
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: Optional[Stats]           # None unless --stats
 
     def text(self) -> str:
         if self.answer == "NO":
@@ -52,7 +54,7 @@ class SolveReport:
                 "activated": self.activated_count,
                 "algorithm": self.algorithm,
                 "elapsed_ms": round(self.elapsed_ms, 3),
-                "stats": self.stats,
+                "stats": {} if self.stats is None else self.stats.as_dict(),
             }
         )
 
@@ -62,9 +64,8 @@ def main() -> None:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -74,7 +75,9 @@ def run(argv: Sequence[str]) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use so importing stays cheap."""
     parser = argparse.ArgumentParser(
         prog="tss", description="Exact target set selection toolkit"
     )
@@ -210,7 +213,7 @@ def _parse_ids(text: str, n: int) -> frozenset[int]:
 
 
 def _decide(inst: Instance, algo: str, k: int, l: int, t: Optional[int],
-            gamma: Optional[float], stats: Optional[SolveStats]) -> Optional[frozenset[int]]:
+            gamma: Optional[float], stats: Optional[Stats]) -> Optional[frozenset[int]]:
     """Run the decision solver named algo ("oracle", "third" or "bounded").
 
     Solvers are module globals looked up at call time, so a rebound name applies.
@@ -224,7 +227,7 @@ def _decide(inst: Instance, algo: str, k: int, l: int, t: Optional[int],
 
 
 def _min_perfect(inst: Instance, algo: str, d: Optional[int],
-                 stats: Optional[PerfectStats] = None) -> frozenset[int]:
+                 stats: Optional[Stats]) -> frozenset[int]:
     """Run the perfect-set solver named algo ("oracle", "thr2", "thr3" or "dual")."""
     if algo == "oracle":
         return oracle_min_perfect_tss(inst)
@@ -241,9 +244,13 @@ def _emit(report: SolveReport, args) -> None:
         print(report.json_line())
         return
     print(report.text())
-    if args.stats:
-        for key, value in sorted(report.stats.items()):
-            print(f"{key}={value}")
+    if report.stats is not None:
+        _print_stats(report.stats)
+
+
+def _print_stats(stats: Stats) -> None:
+    for key, value in sorted(stats.as_dict().items()):
+        print(f"{key}={value}")
 
 
 def _cmd_solve(args) -> int:
@@ -252,11 +259,10 @@ def _cmd_solve(args) -> int:
     algo = args.algo
     if algo == "auto":
         algo = "third" if ratio_violator(inst) is None else "bounded"
-    solve_stats = SolveStats() if args.stats and algo == "bounded" else None
+    stats = Stats() if args.stats else None
     start = time.perf_counter()
-    witness = _decide(inst, algo, k, l, args.t, args.gamma, solve_stats)
+    witness = _decide(inst, algo, k, l, args.t, args.gamma, stats)
     elapsed = (time.perf_counter() - start) * 1000
-    stats = {} if solve_stats is None else dict(solve_stats.scalar_items())
     if witness is None:
         _emit(SolveReport("NO", None, None, algo, elapsed, stats), args)
         return 1
@@ -268,23 +274,16 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-PERFECT_STAT_KEYS = ("rr1_moves", "rr3_moves", "br1_apps", "r4_apps", "r5_apps",
-                     "part1_found", "leaf_bruteforces")
-
-
 def _cmd_perfect(args) -> int:
     inst = _load(args.file, args.force)
     algo = args.algo
     if algo == "auto":
         top = inst.max_threshold()
         algo = "thr2" if top <= 2 else ("thr3" if top <= 3 else "dual")
-    pstats = PerfectStats() if args.stats and algo in ("thr2", "thr3") else None
+    stats = Stats() if args.stats else None
     start = time.perf_counter()
-    answer = _min_perfect(inst, algo, args.d, pstats)
+    answer = _min_perfect(inst, algo, args.d, stats)
     elapsed = (time.perf_counter() - start) * 1000
-    stats = {} if pstats is None else {
-        key: int(getattr(pstats, key)) for key in PERFECT_STAT_KEYS
-    }
     if len(closure(inst, answer)) != inst.n:
         raise RuntimeError("internal: perfect target set failed re-verification")
     report = SolveReport("YES", sorted(v + 1 for v in answer), inst.n, algo, elapsed, stats)
@@ -306,7 +305,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_enum_mpvc(args) -> int:
     inst = _load(args.file, args.force)
-    stats = EnumStats()
+    stats = Stats()  # always counted: the soft leaf bound below reads leaf_nodes
     covers = list(enum_minimal_pvcs(inst.graph, args.t, stats))
     if args.count_only:
         print(len(covers))
@@ -314,9 +313,7 @@ def _cmd_enum_mpvc(args) -> int:
         for cover in covers:
             print(",".join(str(v + 1) for v in sorted(cover)))
     if args.stats:
-        print(f"branch_nodes={stats.branch_nodes}")
-        print(f"leaf_nodes={stats.leaf_nodes}")
-        print(f"emitted={stats.emitted}")
+        _print_stats(stats)
     log2_bound = log2(inst.n**2 + 1) + leaf_count_log2_bound(inst.n, args.t)
     if log2(stats.leaf_nodes) > log2_bound:
         print(
@@ -416,33 +413,27 @@ def _cmd_bench(args) -> int:
 def _bench_row(task: tuple) -> str:
     path, algo, t_flag, d_flag, k_flag, l_flag, force = task
     inst = _load(path, force)
-    size: Optional[int] = None
-    leaves = 0
-    dp_states = 0
+    stats = Stats()
     start = time.perf_counter()
     if algo == "enum-mpvc":
-        stats = EnumStats()
         t = t_flag if t_flag is not None else inst.graph.max_degree() + 1
-        count = sum(1 for _ in enum_minimal_pvcs(inst.graph, t, stats))
-        answer, size, leaves = "YES", count, stats.leaf_nodes
+        answer, size = "YES", sum(1 for _ in enum_minimal_pvcs(inst.graph, t, stats))
     elif algo in ("thr2", "thr3", "dual"):
-        answer, size = "YES", len(_min_perfect(inst, algo, d_flag))
+        answer, size = "YES", len(_min_perfect(inst, algo, d_flag, stats))
     else:
         k = k_flag if k_flag is not None else (inst.query[0] if inst.query else None)
         l = l_flag if l_flag is not None else (inst.query[1] if inst.query else None)
         if k is None or l is None:
             raise ValueError(f"{path}: no query for algorithm {algo}")
-        solve_stats = SolveStats()
-        witness = _decide(inst, algo, k, l, t_flag, None, solve_stats)
-        leaves = solve_stats.br2_leaves + solve_stats.stage2_leaves
-        dp_states = solve_stats.dp_states
+        witness = _decide(inst, algo, k, l, t_flag, None, stats)
         answer = "NO" if witness is None else "YES"
         size = None if witness is None else len(witness)
     ms = (time.perf_counter() - start) * 1000
     size_text = "" if size is None else str(size)
+    leaves = stats.br2_leaves + stats.stage2_leaves + stats.leaf_nodes
     return (
         f"{path},{inst.n},{inst.graph.m},{algo},{answer},{size_text},"
-        f"{leaves},{dp_states},{ms:.1f}"
+        f"{leaves},{stats.dp_states},{ms:.1f}"
     )
 
 
@@ -452,3 +443,7 @@ def _write_out(text: str, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+if __name__ == "__main__":
+    main()

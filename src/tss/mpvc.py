@@ -11,21 +11,14 @@ and filters by minimality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log2
 from typing import Iterator, Optional
 
 from .instance import Graph
+from .stats import Stats
 
-
-@dataclass
-class EnumStats:
-    """Recursion counters for instrumented runs."""
-
-    branch_nodes: int = 0
-    leaf_nodes: int = 0
-    leaf_subsets: int = 0
-    emitted: int = 0
+# perfbench/spans.py imports this name and builds EnumStats() for its counters.
+EnumStats = Stats
 
 
 def covered_edges(g: Graph, s: frozenset[int] | set[int]) -> frozenset[tuple[int, int]]:
@@ -44,7 +37,7 @@ def is_minimal_pvc(g: Graph, s: frozenset[int] | set[int]) -> bool:
 
 
 def enum_minimal_pvcs(
-    g: Graph, t: int, stats: Optional[EnumStats] = None
+    g: Graph, t: int, stats: Optional[Stats] = None
 ) -> Iterator[frozenset[int]]:
     """Yield every minimal partial vertex cover exactly once; requires max degree < t.
 
@@ -64,7 +57,7 @@ def enum_minimal_pvcs(
 
 
 def _branch(
-    g: Graph, free: frozenset[int], inside: frozenset[int], stats: Optional[EnumStats]
+    g: Graph, free: frozenset[int], inside: frozenset[int], stats: Optional[Stats]
 ) -> Iterator[frozenset[int]]:
     nbr = g.neighbor_sets()
     pivot = -1
@@ -81,12 +74,11 @@ def _branch(
             taken = frozenset(closed[i] for i in range(len(closed)) if (mask >> i) & 1)
             yield from _branch(g, free - frozenset(closed), inside | taken, stats)
         return
+    rest = sorted(free)
     if stats is not None:
         stats.leaf_nodes += 1
-    rest = sorted(free)
+        stats.leaf_subsets += 1 << len(rest)
     for mask in range(1 << len(rest)):
-        if stats is not None:
-            stats.leaf_subsets += 1
         cand = inside | frozenset(rest[i] for i in range(len(rest)) if (mask >> i) & 1)
         if is_minimal_pvc(g, cand):
             yield cand

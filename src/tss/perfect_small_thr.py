@@ -15,36 +15,19 @@ finishing each stable branch by exhausting the free part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import floor
 from typing import Optional
 
 from .activation import closure, closure_mask, is_perfect_target_set, mask_of, members, seed_masks
 from .bounded_thr import br1_split
 from .instance import Graph, Instance, subsets_ascending
+from .stats import Stats
 
 # Brute-force cutoff fractions for the two solvers: part 1 covers candidate
 # sizes up to (1 - PART1_GAMMA_THR2) * n for thresholds two, and up to
 # (1 - (2/3) * PART1_GAMMA_THR3) * n for thresholds three.
 PART1_GAMMA_THR2 = 0.655984
 PART1_GAMMA_THR3 = 0.839533
-
-
-@dataclass
-class PerfectStats:
-    """Instrumentation counters for one perfect-solver run."""
-
-    rr1_moves: int = 0
-    rr3_moves: int = 0
-    br1_apps: int = 0
-    br1_children: list[tuple[int, int]] = field(default_factory=list)
-    r4_apps: int = 0
-    r4_children: list[int] = field(default_factory=list)
-    r5_apps: int = 0
-    r5_children: list[int] = field(default_factory=list)
-    part1_max_size: int = -1
-    part1_found: bool = False
-    leaf_bruteforces: int = 0
 
 
 def gadget_bounded_to_equal(inst: Instance, t: int) -> Instance:
@@ -73,17 +56,17 @@ def gadget_bounded_to_equal(inst: Instance, t: int) -> Instance:
     return Instance(graph, (t,) * graph.n)
 
 
-def solve_perfect_thr2(inst: Instance, stats: Optional[PerfectStats] = None) -> frozenset[int]:
+def solve_perfect_thr2(inst: Instance, stats: Optional[Stats] = None) -> frozenset[int]:
     """Minimum perfect target set when every threshold is at most two."""
     return _solve_small_thr(inst, 2, stats)
 
 
-def solve_perfect_thr3(inst: Instance, stats: Optional[PerfectStats] = None) -> frozenset[int]:
+def solve_perfect_thr3(inst: Instance, stats: Optional[Stats] = None) -> frozenset[int]:
     """Minimum perfect target set when every threshold is at most three."""
     return _solve_small_thr(inst, 3, stats)
 
 
-def _solve_small_thr(inst: Instance, t: int, stats: Optional[PerfectStats]) -> frozenset[int]:
+def _solve_small_thr(inst: Instance, t: int, stats: Optional[Stats]) -> frozenset[int]:
     if inst.max_threshold() > t:
         raise ValueError(f"threshold above {t} present")
     if is_perfect_target_set(inst, ()):
@@ -103,7 +86,7 @@ def _solve_small_thr(inst: Instance, t: int, stats: Optional[PerfectStats]) -> f
 
 
 def _min_perfect_equal(
-    eq: Instance, t: int, part1_max: int, stats: Optional[PerfectStats]
+    eq: Instance, t: int, part1_max: int, stats: Optional[Stats]
 ) -> frozenset[int]:
     """Minimum perfect target set of an equalized (thr == t everywhere) gadget instance."""
     n = eq.n

@@ -34,8 +34,7 @@ from tss import (
     solve_perfect_thr2,
     solve_perfect_thr3,
 )
-from tss.bounded_thr import SolveStats
-from tss.perfect_small_thr import PerfectStats
+from tss.stats import Stats
 
 from helpers import (
     rand_bounded_degree_graph,
@@ -284,7 +283,7 @@ def test_criterion_10_instrumented_branching_counts():
     for _ in range(60):
         t = rng.randint(1, 3)
         inst = rand_gnp_instance(rng, rng.randint(4, 8), t, p=0.45)
-        stats = SolveStats()
+        stats = Stats()
         solve_bounded(inst, inst.n // 2, inst.n, t, gamma=0.0, stats=stats)
         br1_apps += stats.br1_apps
         quota_apps += len(stats.quota_branches)
@@ -306,7 +305,7 @@ def test_criterion_10_instrumented_branching_counts():
         for _ in range(80)
     ]
     for inst in corpus:
-        stats = PerfectStats()
+        stats = Stats()
         solve_perfect_thr3(inst, stats)
         r4_apps += stats.r4_apps
         r5_apps += stats.r5_apps

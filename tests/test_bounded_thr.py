@@ -17,10 +17,10 @@ from tss.bounded_thr import (
     BranchLeaf,
     DecisionNeeded,
     SearchState,
-    SolveStats,
     _Ctx,
     is_activated_round,
 )
+from tss.stats import Stats
 
 from helpers import complete_instance, rand_gnp_instance
 
@@ -105,7 +105,7 @@ def test_branch_rule_child_counts():
     seen_any = False
     for _ in range(40):
         inst = rand_gnp_instance(rng, rng.randint(4, 8), rng.randint(1, 3), p=0.5)
-        stats = SolveStats()
+        stats = Stats()
         solve_bounded(inst, inst.n // 2, inst.n, max(1, inst.max_threshold()),
                       gamma=0.0, stats=stats)
         for thr_v, children in stats.br1_children:
@@ -120,7 +120,7 @@ def test_quota_branch_child_counts_and_pair_bound():
     for _ in range(30):
         t = rng.randint(1, 3)
         inst = rand_gnp_instance(rng, rng.randint(5, 8), t, p=0.4)
-        stats = SolveStats()
+        stats = Stats()
         solve_bounded(inst, inst.n // 2, inst.n, t, gamma=0.0, stats=stats)
         for thr_v, children in stats.quota_branches:
             seen_quota = True

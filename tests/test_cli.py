@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from tss import parse_instance
-from tss.cli import run
+from tss.cli import _build_parser, run
+from tss.stats import Stats
 
+ROOT = Path(__file__).resolve().parent.parent
 K3 = "p tss 3 3\nt 1 2\nt 2 2\nt 3 2\ne 1 2\ne 1 3\ne 2 3\nq 2 3\n"
+# thresholds 1 keep the degree/3 cap, so every solve and perfect algorithm accepts it
+K3_THR1 = "p tss 3 3\nt 1 1\nt 2 1\nt 3 1\ne 1 2\ne 1 3\ne 2 3\nq 1 3\n"
+SOLVE_ALGOS = ("oracle", "bounded", "third")
+PERFECT_ALGOS = ("oracle", "thr2", "thr3", "dual")
 P3 = "p tss 3 2\nt 1 1\nt 2 2\nt 3 1\ne 1 2\ne 2 3\nq 1 3\n"
 
 
@@ -38,6 +48,14 @@ def test_solve_stats_lines(tmp_path, capsys):
     assert run(["solve", path, "--algo", "bounded", "--t", "2", "--stats"]) == 0
     out = capsys.readouterr().out
     assert "br1_apps=" in out and "dp_states=" in out
+    # every algorithm prints the whole schema, sorted, after its answer line
+    path = _write(tmp_path, "k3t1.tss", K3_THR1)
+    expected = sorted(Stats().as_dict())
+    for command, algos in (("solve", SOLVE_ALGOS), ("perfect", PERFECT_ALGOS)):
+        for algo in algos:
+            assert run([command, path, "--algo", algo, "--stats"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split("=")[0] for line in lines[1:]] == expected, (command, algo)
 
 
 def test_solve_json_stable_keys(tmp_path, capsys):
@@ -50,6 +68,15 @@ def test_solve_json_stable_keys(tmp_path, capsys):
     assert record["answer"] == "YES"
     assert record["witness"] == [1, 2]
     assert record["activated"] == 3
+    # one stats schema for every algorithm with --stats, and {} without it
+    path = _write(tmp_path, "k3t1.tss", K3_THR1)
+    for command, algos in (("solve", SOLVE_ALGOS), ("perfect", PERFECT_ALGOS)):
+        for algo in algos:
+            for flags, keys in (([], []), (["--stats"], list(Stats().as_dict()))):
+                assert run([command, path, "--algo", algo, "--json", *flags]) == 0
+                stats = json.loads(capsys.readouterr().out)["stats"]
+                assert list(stats) == keys, (command, algo, flags)
+                assert all(type(value) is int for value in stats.values())
 
 
 def test_solve_without_query_is_usage_error(tmp_path, capsys):
@@ -85,6 +112,9 @@ def test_enum_mpvc_stats_within_soft_leaf_budget(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "leaf_nodes=" in captured.out
     assert "warning" not in captured.err
+    lines = captured.out.splitlines()
+    assert [line.split("=")[0] for line in lines[1:]] == sorted(Stats().as_dict())
+    assert "emitted=5" in lines
 
 
 def test_simulate(tmp_path, capsys):
@@ -245,3 +275,34 @@ def test_cross_algorithm_agreement_on_generated_corpus(tmp_path, capsys):
             assert run(["perfect", gen_path, "--algo", algo]) == 0
             sizes.add(capsys.readouterr().out.split()[1])
         assert len(sizes) == 1
+
+
+def test_python_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "tss.cli", *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = cli("solve", "samples/triangle.tss", "--algo", "oracle")
+    assert (done.returncode, done.stdout) == (0, "YES size=2 set=1,2\n")
+    done = cli("gen", "--model", "regular", "--n", "12", "--degree", "10",
+               "--thr-model", "const", "--seed", "1")
+    assert done.returncode == 2
+
+
+def test_parser_reuse_leaks_no_values(tmp_path, capsys):
+    """The parser is built once per process; each query must parse as if on a fresh one."""
+    path = _write(tmp_path, "k3.tss", K3)
+    queries = [
+        ["solve", path, "--algo", "bounded", "--k", "1", "--l", "3", "--stats"],
+        ["perfect", path, "--algo", "thr2"],
+        ["solve", path, "--algo", "oracle"],
+    ]
+    reused = []
+    for argv in queries:
+        reused.append((run(argv), capsys.readouterr().out))
+    for argv, seen in zip(queries, reused):
+        _build_parser.cache_clear()
+        assert (run(argv), capsys.readouterr().out) == seen
+    assert [code for code, _ in reused] == [1, 0, 0]

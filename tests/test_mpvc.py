@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tss import Graph, covered_edges, enum_minimal_pvcs, is_minimal_pvc, oracle_enum_mpvc
-from tss.mpvc import EnumStats, leaf_count_log2_bound
+from tss.mpvc import leaf_count_log2_bound
+from tss.stats import Stats
 
 from helpers import rand_bounded_degree_graph
 
@@ -83,9 +84,10 @@ def test_stats_counters():
     for _ in range(25):
         t = rng.choice([2, 3, 4])
         g = rand_bounded_degree_graph(rng, rng.randint(1, 8), t - 1)
-        stats = EnumStats()
+        stats = Stats()
         emitted = sum(1 for _ in enum_minimal_pvcs(g, t, stats))
         assert stats.emitted == emitted
         assert stats.leaf_nodes >= 1
+        assert stats.leaf_subsets >= max(emitted, stats.leaf_nodes)
     # the recursion-leaf budget itself is checked softly in bench mode only
     assert leaf_count_log2_bound(8, 3) > 0

@@ -13,11 +13,8 @@ from tss import (
     solve_perfect_thr2,
     solve_perfect_thr3,
 )
-from tss.perfect_small_thr import (
-    PART1_GAMMA_THR2,
-    PART1_GAMMA_THR3,
-    PerfectStats,
-)
+from tss.perfect_small_thr import PART1_GAMMA_THR2, PART1_GAMMA_THR3
+from tss.stats import Stats
 
 from helpers import complete_instance, path_instance, rand_gnp_instance, star_graph
 
@@ -150,7 +147,7 @@ def test_part2_entry_condition():
         inst = rand_gnp_instance(rng, rng.randint(2, 8), t, p=0.4)
         if is_perfect_target_set(inst, ()):
             continue
-        stats = PerfectStats()
+        stats = Stats()
         solver = solve_perfect_thr2 if t == 2 else solve_perfect_thr3
         got = solver(inst, stats)
         if not stats.part1_found:
@@ -201,7 +198,7 @@ def test_rule_counters_on_frozen_instance():
         Graph(6, [(0, 5), (1, 3), (1, 4), (2, 3)]),
         (1, 2, 1, 1, 3, 1),
     )
-    stats = PerfectStats()
+    stats = Stats()
     got = solve_perfect_thr3(inst, stats)
     assert stats.r5_apps >= 1
     assert all(c == 7 for c in stats.r5_children)
@@ -216,7 +213,7 @@ def test_rule_counters_on_corpus():
     for _ in range(60):
         t = rng.choice([2, 3])
         inst = rand_gnp_instance(rng, rng.randint(4, 9), t, p=rng.choice([0.3, 0.5]))
-        stats = PerfectStats()
+        stats = Stats()
         (solve_perfect_thr2 if t == 2 else solve_perfect_thr3)(inst, stats)
         assert all(c == 2 ** (tv + 1) - tv - 1 for tv, c in stats.br1_children)
         assert all(c == 3 for c in stats.r4_children)

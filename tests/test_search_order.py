@@ -13,11 +13,19 @@ import pytest
 import tss.bounded_thr as bounded_thr
 import tss.perfect_small_thr as perfect_small_thr
 from tss import Instance
-from tss.bounded_thr import SolveStats, solve_bounded
+from tss.bounded_thr import solve_bounded
 from tss.degree_ratio import solve_ratio_tss
 from tss.dual_thr import solve_dual_perfect
 from tss.instance import gen_random
-from tss.perfect_small_thr import PerfectStats, solve_perfect_thr2, solve_perfect_thr3
+from tss.perfect_small_thr import solve_perfect_thr2, solve_perfect_thr3
+from tss.stats import Stats
+
+# The pinned counters of each solver, in the order of the EXPECTED tuples.
+BOUNDED_COUNTERS = ("rr1_moves", "br1_apps", "br1_children", "br2_leaves", "stage2_covers",
+                    "quota_branches", "member_branches", "stage2_leaves", "dp_states")
+PERFECT_COUNTERS = ("rr1_moves", "rr3_moves", "br1_apps", "br1_children", "r4_apps",
+                    "r4_children", "r5_apps", "r5_children", "part1_max_size",
+                    "part1_found", "leaf_bruteforces")
 
 
 def _third_instance(seed: int) -> Instance:
@@ -48,10 +56,10 @@ def _run(case: tuple, monkeypatch):
         _, model, n, p, seed, k, l = case
         inst = gen_random(model, n, "const", seed, p=p, thr_param=2)
         calls = _counting(monkeypatch, bounded_thr)
-        stats = SolveStats()
+        stats = Stats()
         gamma = 0.0 if kind == "gamma0" else None
         witness = solve_bounded(inst, k, l, 2, gamma=gamma, stats=stats)
-        counters = tuple(value for _, value in stats.scalar_items())
+        counters = tuple(stats.as_dict()[key] for key in BOUNDED_COUNTERS)
         return _sorted(witness), counters + (calls["mask"], calls["closure"])
     if kind in ("thr2", "thr3"):
         _, model, n, thr_model, param, seed = case
@@ -59,15 +67,10 @@ def _run(case: tuple, monkeypatch):
         flags = {"degree": param} if model == "regular" else {"p": param}
         inst = gen_random(model, n, thr_model, seed, thr_param=t, **flags)
         calls = _counting(monkeypatch, perfect_small_thr)
-        stats = PerfectStats()
+        stats = Stats()
         solver = solve_perfect_thr2 if t == 2 else solve_perfect_thr3
         witness = solver(inst, stats)
-        counters = (
-            stats.rr1_moves, stats.rr3_moves, stats.br1_apps,
-            sum(c for _, c in stats.br1_children), stats.r4_apps, sum(stats.r4_children),
-            stats.r5_apps, sum(stats.r5_children), stats.part1_max_size,
-            int(stats.part1_found), stats.leaf_bruteforces,
-        )
+        counters = tuple(stats.as_dict()[key] for key in PERFECT_COUNTERS)
         return _sorted(witness), counters + (calls["mask"], calls["closure"])
     if kind == "dual":
         _, n, d, seed = case
