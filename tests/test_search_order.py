@@ -52,13 +52,17 @@ def _run(case: tuple, monkeypatch):
     """Witness, plus for bounded/thr2/thr3 the solver's counters (children
     summed over branchings) and its closure_mask and closure call counts."""
     kind = case[0]
-    if kind in ("bounded", "gamma0"):
-        _, model, n, p, seed, k, l = case
-        inst = gen_random(model, n, "const", seed, p=p, thr_param=2)
+    if kind in ("bounded", "gamma0", "gamma0-reg"):
+        if kind == "gamma0-reg":
+            _, n, degree, t, seed, k, l = case
+            inst = gen_random("regular", n, "const", seed, degree=degree, thr_param=t)
+        else:
+            _, model, n, p, seed, k, l = case
+            inst, t = gen_random(model, n, "const", seed, p=p, thr_param=2), 2
         calls = _counting(monkeypatch, bounded_thr)
         stats = Stats()
-        gamma = 0.0 if kind == "gamma0" else None
-        witness = solve_bounded(inst, k, l, 2, gamma=gamma, stats=stats)
+        gamma = None if kind == "bounded" else 0.0
+        witness = solve_bounded(inst, k, l, t, gamma=gamma, stats=stats)
         counters = tuple(stats.as_dict()[key] for key in BOUNDED_COUNTERS)
         return _sorted(witness), counters + (calls["mask"], calls["closure"])
     if kind in ("thr2", "thr3"):
@@ -103,6 +107,22 @@ EXPECTED: dict[tuple, object] = {
     ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (17, 5, 25, 0, 7, 3270, 0, 2187, 5454, 0, 26)),
     ("gamma0", "gnp", 7, 0.45, 2, 3, 7): ([1, 3, 5], (0, 1, 5, 0, 1, 27, 0, 17, 249, 0, 2)),
     ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (3, 1, 5, 0, 37, 495, 8, 375, 2480, 0, 6)),
+    # Shaped like the decision benchmark's gamma0 families: (kind, n, degree,
+    # threshold, seed, k, l) on regular draws, with k = opt and opt - 1.
+    ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 2, 1242, 0, 824, 1793, 0, 4)),
+    ("gamma0-reg", 7, 4, 2, 0, 1, 7): (None, (17, 5, 25, 0, 7, 3270, 0, 2187, 4902, 0, 26)),
+    ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 2, 1149, 0, 761, 1667, 0, 4)),
+    ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 7, 3270, 0, 2187, 4902, 0, 26)),
+    ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 6, 1740, 41, 1348, 3691, 0, 3)),
+    ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (3, 1, 12, 0, 55, 3616, 100, 2867, 9376, 0, 13)),
+    ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 9, 2500, 48, 1927, 5488, 0, 3)),
+    ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 1, 12, 0, 77, 4888, 96, 3839, 12604, 0, 13)),
+    ("gamma0-reg", 7, 2, 2, 0, 4, 7):
+        ([0, 3, 4, 6], (0, 3, 15, 0, 10, 2865, 0, 1919, 4769, 0, 13)),
+    ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (4, 6, 30, 3, 21, 4176, 0, 2805, 7054, 3, 31)),
+    ("gamma0-reg", 7, 2, 2, 1, 4, 7):
+        ([0, 2, 3, 4], (0, 3, 15, 0, 10, 2865, 0, 1919, 4769, 0, 13)),
+    ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (4, 6, 30, 3, 21, 4176, 0, 2805, 7054, 3, 31)),
     ("thr2", "gnp", 14, "const", 0.6, 0): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 18, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 1): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 18, 0)),
     ("thr2", "regular", 10, "const", 2, 0):
