@@ -136,6 +136,15 @@ class _Ctx:
             return True
         return self.member.get(u)
 
+    def feasible_quotas(self, nbr_v: frozenset[int], thr_v: int, free: frozenset[int]) -> range:
+        """Quota values some consistent hidden selection meets: it holds the cover and
+        the members set true, and lies in free minus the members set false. Later
+        decisions only narrow this window, so stage 3 rejects every value outside it."""
+        known_in = self.cover.union(u for u, b in self.member.items() if b)
+        known_out = frozenset(u for u, b in self.member.items() if not b)
+        return range(min(thr_v, len(nbr_v & known_in)),
+                     min(thr_v, len(nbr_v & (free - known_out))) + 1)
+
     def with_decision(self, kind: str, vertex: int, choice) -> "_Ctx":
         if kind == "quota":
             quota = dict(self.quota)
@@ -321,14 +330,21 @@ def solve_bounded(
             return None
         state = SearchState(selected, excluded, free)
         sub_g, old_ids = inst.graph.induced(free)
-        for local_cover in enum_minimal_pvcs(sub_g, max(t, 1)):
-            cover = frozenset(old_ids[i] for i in local_cover)
-            if stats is not None:
-                stats.stage2_covers += 1
-            res = _explore(state, _Ctx(cover))
-            if res is not None:
-                return res
-        return None
+        # a fresh Stats per enumeration: a wrapper counting the object it is given sees it once
+        enum_stats = None if stats is None else Stats()
+        try:
+            for local_cover in enum_minimal_pvcs(sub_g, max(t, 1), enum_stats):
+                cover = frozenset(old_ids[i] for i in local_cover)
+                if stats is not None:
+                    stats.stage2_covers += 1
+                res = _explore(state, _Ctx(cover))
+                if res is not None:
+                    return res
+            return None
+        finally:
+            if enum_stats is not None:
+                for key in ("branch_nodes", "leaf_nodes", "leaf_subsets", "emitted"):
+                    setattr(stats, key, getattr(stats, key) + getattr(enum_stats, key))
 
     def _explore(state: SearchState, ctx: _Ctx) -> Optional[frozenset[int]]:
         try:
@@ -339,7 +355,10 @@ def solve_bounded(
                     stats.quota_branches.append((thr[need.vertex], len(need.choices)))
                 else:
                     stats.member_branches += 1
-            for choice in need.choices:
+            choices = need.choices
+            if need.kind == "quota":
+                choices = ctx.feasible_quotas(nbr[need.vertex], thr[need.vertex], state.free)
+            for choice in choices:
                 res = _explore(state, ctx.with_decision(need.kind, need.vertex, choice))
                 if res is not None:
                     return res

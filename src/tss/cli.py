@@ -430,7 +430,7 @@ def _bench_row(task: tuple) -> str:
         size = None if witness is None else len(witness)
     ms = (time.perf_counter() - start) * 1000
     size_text = "" if size is None else str(size)
-    leaves = stats.br2_leaves + stats.stage2_leaves + stats.leaf_nodes
+    leaves = stats.leaf_nodes if algo == "enum-mpvc" else stats.br2_leaves + stats.stage2_leaves
     return (
         f"{path},{inst.n},{inst.graph.m},{algo},{answer},{size_text},"
         f"{leaves},{stats.dp_states},{ms:.1f}"

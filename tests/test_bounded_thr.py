@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tss import (
     Graph,
@@ -85,6 +87,29 @@ def test_oracle_agreement_small_corpus():
             if got is not None:
                 assert len(got) <= k
                 assert len(closure(inst, got)) >= l
+
+
+@st.composite
+def _decision_queries(draw):
+    """An instance with n <= 7 and thresholds <= 3, plus a query (k, l)."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    thr = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    inst = Instance(Graph(n, [e for e, kept in zip(pairs, keep) if kept]), tuple(thr))
+    return inst, draw(st.integers(0, n)), draw(st.integers(0, n))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_decision_queries())
+def test_stages_two_three_agree_with_oracle(query):
+    # gamma=0 routes every branching-stable free part through stages 2 and 3
+    inst, k, l = query
+    got = solve_bounded(inst, k, l, max(1, inst.max_threshold()), gamma=0.0)
+    assert (got is not None) == (oracle_tss_decision(inst, k, l) is not None)
+    if got is not None:
+        assert len(got) <= k
+        assert len(closure(inst, got)) >= l
 
 
 def test_reduction_rule_metamorphic():

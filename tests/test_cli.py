@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from tss import parse_instance
+from tss.instance import gen_random, write_instance
 from tss.cli import _build_parser, run
 from tss.stats import Stats
 
@@ -77,6 +78,18 @@ def test_solve_json_stable_keys(tmp_path, capsys):
                 stats = json.loads(capsys.readouterr().out)["stats"]
                 assert list(stats) == keys, (command, algo, flags)
                 assert all(type(value) is int for value in stats.values())
+
+
+def test_bounded_stats_count_stage2_covers(tmp_path, capsys):
+    # gamma=0 sends a 4-regular draw through stage 2, whose cover enumeration
+    # reports its counters into the solver's stats
+    inst = gen_random("regular", 7, "const", 0, degree=4, thr_param=2)
+    path = _write(tmp_path, "r7.tss", write_instance(inst))
+    argv = ["solve", path, "--algo", "bounded", "--gamma", "0.0", "--k", "2", "--l", "7"]
+    assert run([*argv, "--stats", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["emitted"] == stats["stage2_covers"] > 0
+    assert stats["leaf_subsets"] >= stats["leaf_nodes"] > 0
 
 
 def test_solve_without_query_is_usage_error(tmp_path, capsys):

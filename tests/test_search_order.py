@@ -101,28 +101,28 @@ EXPECTED: dict[tuple, object] = {
     ("bounded", "gnp", 12, 0.35, 3, 4, 12): ([2, 4, 5, 8], (0, 1, 5, 1, 0, 0, 0, 0, 0, 153, 2)),
     ("bounded", "gnp", 12, 0.35, 3, 3, 12): (None, (0, 1, 5, 5, 0, 0, 0, 0, 0, 278, 6)),
     ("bounded", "gnp", 12, 0.35, 3, 2, 8): (None, (0, 1, 5, 5, 0, 0, 0, 0, 0, 77, 6)),
-    ("gamma0", "gnp", 7, 0.45, 0, 4, 7): ([0, 1, 2, 5], (0, 1, 5, 0, 5, 138, 0, 95, 1225, 0, 3)),
-    ("gamma0", "gnp", 7, 0.45, 0, 3, 7): (None, (0, 1, 5, 0, 15, 207, 0, 153, 2027, 0, 6)),
-    ("gamma0", "gnp", 7, 0.45, 1, 2, 7): ([4, 6], (1, 2, 10, 1, 4, 2181, 0, 1458, 3564, 1, 7)),
-    ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (17, 5, 25, 0, 7, 3270, 0, 2187, 5454, 0, 26)),
+    ("gamma0", "gnp", 7, 0.45, 0, 4, 7): ([0, 1, 2, 5], (0, 1, 5, 0, 5, 72, 0, 28, 322, 0, 3)),
+    ("gamma0", "gnp", 7, 0.45, 0, 3, 7): (None, (0, 1, 5, 0, 15, 123, 0, 55, 652, 0, 6)),
+    ("gamma0", "gnp", 7, 0.45, 1, 2, 7): ([4, 6], (1, 2, 10, 1, 4, 111, 0, 16, 36, 1, 7)),
+    ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (17, 5, 25, 0, 7, 180, 0, 24, 55, 0, 26)),
     ("gamma0", "gnp", 7, 0.45, 2, 3, 7): ([1, 3, 5], (0, 1, 5, 0, 1, 27, 0, 17, 249, 0, 2)),
-    ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (3, 1, 5, 0, 37, 495, 8, 375, 2480, 0, 6)),
+    ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (3, 1, 5, 0, 37, 318, 6, 188, 1652, 0, 6)),
     # Shaped like the decision benchmark's gamma0 families: (kind, n, degree,
     # threshold, seed, k, l) on regular draws, with k = opt and opt - 1.
-    ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 2, 1242, 0, 824, 1793, 0, 4)),
-    ("gamma0-reg", 7, 4, 2, 0, 1, 7): (None, (17, 5, 25, 0, 7, 3270, 0, 2187, 4902, 0, 26)),
-    ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 2, 1149, 0, 761, 1667, 0, 4)),
-    ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 7, 3270, 0, 2187, 4902, 0, 26)),
-    ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 6, 1740, 41, 1348, 3691, 0, 3)),
-    ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (3, 1, 12, 0, 55, 3616, 100, 2867, 9376, 0, 13)),
-    ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 9, 2500, 48, 1927, 5488, 0, 3)),
-    ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 1, 12, 0, 77, 4888, 96, 3839, 12604, 0, 13)),
+    ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 2, 108, 0, 32, 66, 0, 4)),
+    ("gamma0-reg", 7, 4, 2, 0, 1, 7): (None, (17, 5, 25, 0, 7, 285, 0, 80, 167, 0, 26)),
+    ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 2, 84, 0, 24, 50, 0, 4)),
+    ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 7, 270, 0, 80, 167, 0, 26)),
+    ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 6, 412, 2, 177, 904, 0, 3)),
+    ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (3, 1, 12, 0, 55, 1236, 20, 575, 2938, 0, 13)),
+    ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 9, 352, 0, 112, 595, 0, 3)),
+    ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 1, 12, 0, 77, 1152, 8, 412, 2043, 0, 13)),
     ("gamma0-reg", 7, 2, 2, 0, 4, 7):
-        ([0, 3, 4, 6], (0, 3, 15, 0, 10, 2865, 0, 1919, 4769, 0, 13)),
-    ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (4, 6, 30, 3, 21, 4176, 0, 2805, 7054, 3, 31)),
+        ([0, 3, 4, 6], (0, 3, 15, 0, 10, 183, 0, 32, 74, 0, 13)),
+    ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (4, 6, 30, 3, 21, 324, 0, 60, 141, 3, 31)),
     ("gamma0-reg", 7, 2, 2, 1, 4, 7):
-        ([0, 2, 3, 4], (0, 3, 15, 0, 10, 2865, 0, 1919, 4769, 0, 13)),
-    ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (4, 6, 30, 3, 21, 4176, 0, 2805, 7054, 3, 31)),
+        ([0, 2, 3, 4], (0, 3, 15, 0, 10, 207, 0, 32, 74, 0, 13)),
+    ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (4, 6, 30, 3, 21, 348, 0, 60, 141, 3, 31)),
     ("thr2", "gnp", 14, "const", 0.6, 0): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 18, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 1): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 18, 0)),
     ("thr2", "regular", 10, "const", 2, 0):
