@@ -4,8 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tss import parse_instance
-from tss.instance import gen_random, write_instance
+from tss import gen_random, parse_instance, write_instance
 from tss.cli import _build_parser, run
 from tss.stats import Stats
 
@@ -85,8 +84,9 @@ def test_bounded_stats_count_stage2_covers(tmp_path, capsys):
     # reports its counters into the solver's stats
     inst = gen_random("regular", 7, "const", 0, degree=4, thr_param=2)
     path = _write(tmp_path, "r7.tss", write_instance(inst))
-    argv = ["solve", path, "--algo", "bounded", "--gamma", "0.0", "--k", "2", "--l", "7"]
-    assert run([*argv, "--stats", "--json"]) == 0
+    argv = ["solve", path, "--algo", "bounded", "--gamma", "0.0", "--k", "2", "--l", "7",
+            "--stats", "--json"]
+    assert run(argv) == 0
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["emitted"] == stats["stage2_covers"] > 0
     assert stats["leaf_subsets"] >= stats["leaf_nodes"] > 0
