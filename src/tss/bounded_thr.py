@@ -110,16 +110,6 @@ def br1_split(
     return group, children
 
 
-class DecisionNeeded(Exception):
-    """Raised while projecting rounds when an undecided hidden-selection fact is required."""
-
-    def __init__(self, kind: str, vertex: int, choices: tuple):
-        super().__init__(f"{kind} decision needed for vertex {vertex}")
-        self.kind = kind
-        self.vertex = vertex
-        self.choices = choices
-
-
 class _Ctx:
     """Accumulated stage-2 decisions; cover members count as selected."""
 
@@ -145,27 +135,19 @@ class _Ctx:
         return range(min(thr_v, len(nbr_v & known_in)),
                      min(thr_v, len(nbr_v & (free - known_out))) + 1)
 
-    def with_decision(self, kind: str, vertex: int, choice) -> "_Ctx":
-        if kind == "quota":
-            quota = dict(self.quota)
-            quota[vertex] = choice
-            return _Ctx(self.cover, quota, self.member)
-        member = dict(self.member)
-        member[vertex] = choice
-        return _Ctx(self.cover, self.quota, member)
-
 
 def is_activated_round(
     inst: Instance, state: SearchState, projected: frozenset[int], v: int, ctx: _Ctx
-) -> bool:
+) -> bool | tuple[str, int]:
     """Whether v (currently outside the projected set) joins it in the next round.
 
     Free vertices are decided from the projected neighbor count alone. For an
     excluded vertex the activated neighbors are counted as: exact ones outside
     the free part, plus the promised capped count of hidden selected neighbors,
     plus projected free neighbors individually known to be outside the hidden
-    selection. A needed but undecided value raises DecisionNeeded; decisions,
-    once recorded in ctx, are never branched again.
+    selection. A needed but undecided value is returned instead of a bool, as
+    ("quota", v) or ("member", u); decisions, once recorded in ctx, are never
+    branched again.
     """
     assert v not in projected
     nbr = inst.graph.neighbor_sets()[v]
@@ -179,27 +161,15 @@ def is_activated_round(
     m = len(in_proj - state.free)
     q = ctx.quota.get(v)
     if q is None:
-        raise DecisionNeeded("quota", v, tuple(range(thr_v + 1)))
+        return ("quota", v)
     m += q
     for u in sorted(in_proj & state.free):
         member = ctx.membership_of(u)
         if member is None:
-            raise DecisionNeeded("member", u, (False, True))
+            return ("member", u)
         if not member:
             m += 1
     return m >= thr_v
-
-
-def _project(inst: Instance, state: SearchState, ctx: _Ctx) -> frozenset[int]:
-    """Fixpoint of the projected activation rounds; DecisionNeeded propagates to the caller."""
-    projected = state.selected | ctx.cover
-    outside = sorted(set(range(inst.n)) - projected)
-    while True:
-        newly = [v for v in outside if is_activated_round(inst, state, projected, v, ctx)]
-        if not newly:
-            return projected
-        projected = projected | frozenset(newly)
-        outside = [v for v in outside if v not in projected]
 
 
 def stage3_dp(leaf: BranchLeaf, k: int, l: int,
@@ -273,7 +243,6 @@ def solve_bounded(
     t: int,
     *,
     gamma: Optional[float] = None,
-    apply_rr1: bool = True,
     stats: Optional[Stats] = None,
     leaf_sink: Optional[list[BranchLeaf]] = None,
 ) -> Optional[frozenset[int]]:
@@ -283,9 +252,8 @@ def solve_bounded(
     fraction (free part brute-forced once |free| <= gamma*n); the default comes
     from compute_constants. Since the default gamma is close to 1, stages 2-3
     mostly engage on larger instances; pass gamma=0.0 to force them whenever
-    the free part is branching-stable. apply_rr1=False disables the free
-    exclusion of already-activated vertices (for metamorphic testing only).
-    The first feasible set in deterministic exploration order is returned.
+    the free part is branching-stable. The first feasible set in deterministic
+    exploration order is returned.
     """
     if k < 0 or l < 0:
         raise ValueError("budget and target must be non-negative")
@@ -301,13 +269,12 @@ def solve_bounded(
 
     def stage1(selected: frozenset[int], excluded: frozenset[int],
                free: frozenset[int]) -> Optional[frozenset[int]]:
-        if apply_rr1:
-            move = closure(inst, selected) & free
-            if move:
-                if stats is not None:
-                    stats.rr1_moves += len(move)
-                excluded |= move
-                free -= move
+        move = closure(inst, selected) & free
+        if move:
+            if stats is not None:
+                stats.rr1_moves += len(move)
+            excluded |= move
+            free -= move
         if len(selected) > k:
             return None
         if len(free) <= gamma * n:
@@ -337,7 +304,9 @@ def solve_bounded(
                 cover = frozenset(old_ids[i] for i in local_cover)
                 if stats is not None:
                     stats.stage2_covers += 1
-                res = _explore(state, _Ctx(cover))
+                projected = selected | cover
+                res = _explore(state, _Ctx(cover), projected,
+                               sorted(set(range(n)) - projected), 0, [])
                 if res is not None:
                     return res
             return None
@@ -346,25 +315,41 @@ def solve_bounded(
                 for key in ("branch_nodes", "leaf_nodes", "leaf_subsets", "emitted"):
                     setattr(stats, key, getattr(stats, key) + getattr(enum_stats, key))
 
-    def _explore(state: SearchState, ctx: _Ctx) -> Optional[frozenset[int]]:
-        try:
-            projected = _project(inst, state, ctx)
-        except DecisionNeeded as need:
-            if stats is not None:
-                if need.kind == "quota":
-                    stats.quota_branches.append((thr[need.vertex], len(need.choices)))
+    def _explore(state: SearchState, ctx: _Ctx, projected: frozenset[int],
+                 outside: list[int], i: int, newly: list[int]) -> Optional[frozenset[int]]:
+        """Replay the projected rounds from outside[i] of the current round, where
+        newly holds the round's activations so far. At an undecided fact each child
+        resumes here: vertices already evaluated needed no fact, and added facts
+        leave their outcome unchanged."""
+        while True:
+            for j in range(i, len(outside)):
+                got = is_activated_round(inst, state, projected, outside[j], ctx)
+                if isinstance(got, bool):
+                    if got:
+                        newly.append(outside[j])
+                    continue
+                kind, u = got
+                if kind == "quota":
+                    if stats is not None:
+                        stats.quota_branches.append((thr[u], thr[u] + 1))
+                    children = (_Ctx(ctx.cover, {**ctx.quota, u: c}, ctx.member)
+                                for c in ctx.feasible_quotas(nbr[u], thr[u], state.free))
                 else:
-                    stats.member_branches += 1
-            choices = need.choices
-            if need.kind == "quota":
-                choices = ctx.feasible_quotas(nbr[need.vertex], thr[need.vertex], state.free)
-            for choice in choices:
-                res = _explore(state, ctx.with_decision(need.kind, need.vertex, choice))
-                if res is not None:
-                    return res
-            return None
-        leaf = BranchLeaf(inst, state, ctx.cover, dict(ctx.quota),
-                          dict(ctx.member), projected)
+                    if stats is not None:
+                        stats.member_branches += 1
+                    children = (_Ctx(ctx.cover, ctx.quota, {**ctx.member, u: c})
+                                for c in (False, True))
+                for child in children:
+                    res = _explore(state, child, projected, outside, j, newly[:])
+                    if res is not None:
+                        return res
+                return None
+            if not newly:
+                break
+            projected = projected | frozenset(newly)
+            outside = [v for v in outside if v not in projected]
+            i, newly = 0, []
+        leaf = BranchLeaf(inst, state, ctx.cover, ctx.quota, ctx.member, projected)
         if leaf_sink is not None:
             leaf_sink.append(leaf)
         if stats is not None:

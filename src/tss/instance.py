@@ -323,7 +323,11 @@ def _two_ints(parts: Sequence[str], what: str, lineno: int) -> tuple[int, int]:
 
 
 def _regular_edges(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
-    """Random d-regular edge set via stub pairing, retried until simple."""
+    """Random d-regular edge set via stub pairing, retried until simple.
+
+    Pairing rarely comes out simple when d is close to n; if every retry fails
+    and 2d > n - 1, the complement of a random (n - 1 - d)-regular draw is returned.
+    """
     if d < 0 or d >= max(n, 1):
         raise ValueError(f"regular degree {d} inconsistent with n={n}")
     if (n * d) % 2 != 0:
@@ -343,6 +347,9 @@ def _regular_edges(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
             edges.add((min(u, v), max(u, v)))
         if ok:
             return sorted(edges)
+    if 2 * d > n - 1:
+        sparse = set(_regular_edges(rng, n, n - 1 - d))
+        return [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse]
     raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 

@@ -129,6 +129,9 @@ def test_gen_regular():
     assert all(inst.graph.degree(v) == 3 for v in range(8))
     assert all(0 <= t <= 2 for t in inst.thr)
     assert gen_random("regular", 8, "uniform", 3, degree=3, thr_param=2) == inst
+    # stub pairing keeps failing this dense; the complement of a 1-regular draw is used
+    dense = gen_random("regular", 12, "const", 1, degree=10)
+    assert all(dense.graph.degree(v) == 10 for v in range(12))
     with pytest.raises(ValueError):
         gen_random("regular", 5, "const", 0, degree=3)
     with pytest.raises(ValueError):
