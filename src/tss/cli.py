@@ -236,7 +236,7 @@ def _min_perfect(inst: Instance, algo: str, d: Optional[int],
     if algo == "thr3":
         return solve_perfect_thr3(inst, stats)
     d = d if d is not None else max(0, max(inst.dual_values(), default=0))
-    return solve_dual_perfect(inst, d)
+    return solve_dual_perfect(inst, d, stats)
 
 
 def _emit(report: SolveReport, args) -> None:

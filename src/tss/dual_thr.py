@@ -10,9 +10,10 @@ subgraph; per-vertex dual values generalize the peeling bound per vertex.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .instance import Graph, Instance
+from .stats import Stats
 
 
 def is_d_degenerate(g: Graph, d: int) -> bool:
@@ -22,7 +23,7 @@ def is_d_degenerate(g: Graph, d: int) -> bool:
     return _peels_empty(g.neighbor_sets(), set(range(g.n)), [d] * g.n)
 
 
-def solve_dual_perfect(inst: Instance, d: int) -> frozenset[int]:
+def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) -> frozenset[int]:
     """Minimum perfect target set when deg(v) - thr(v) <= d for every vertex.
 
     Deterministic branch-and-bound maximizes a vertex set whose induced
@@ -42,6 +43,8 @@ def solve_dual_perfect(inst: Instance, d: int) -> frozenset[int]:
     best: list[frozenset[int]] = [frozenset()]
 
     def rec(i: int, current: list[int]) -> None:
+        if stats is not None:
+            stats.dual_nodes += 1
         if len(current) + (len(candidates) - i) <= len(best[0]):
             return
         if i == len(candidates):

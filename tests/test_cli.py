@@ -92,6 +92,12 @@ def test_bounded_stats_count_stage2_covers(tmp_path, capsys):
     assert stats["leaf_subsets"] >= stats["leaf_nodes"] > 0
 
 
+def test_dual_stats_count_nodes(tmp_path, capsys):
+    path = _write(tmp_path, "k3t1.tss", K3_THR1)
+    assert run(["perfect", path, "--algo", "dual", "--stats", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["dual_nodes"] > 0
+
+
 def test_solve_without_query_is_usage_error(tmp_path, capsys):
     path = _write(tmp_path, "noq.tss", "p tss 1 0\nt 1 0\n")
     assert run(["solve", path]) == 2

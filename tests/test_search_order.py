@@ -50,7 +50,8 @@ def _counting(monkeypatch, module) -> dict[str, int]:
 
 def _run(case: tuple, monkeypatch):
     """Witness, plus for bounded/thr2/thr3 the solver's counters (children
-    summed over branchings) and its closure_mask and closure call counts."""
+    summed over branchings) and its closure_mask and closure call counts,
+    and for dual its branch-and-bound node count."""
     kind = case[0]
     if kind in ("bounded", "gamma0", "gamma0-reg"):
         if kind == "gamma0-reg":
@@ -79,7 +80,9 @@ def _run(case: tuple, monkeypatch):
     if kind == "dual":
         _, n, d, seed = case
         inst = gen_random("gnp", n, "dual", seed, p=0.4, thr_param=d)
-        return _sorted(solve_dual_perfect(inst, d))
+        stats = Stats()
+        witness = solve_dual_perfect(inst, d, stats)
+        return _sorted(witness), stats.dual_nodes
     _, seed, k, l = case
     return _sorted(solve_ratio_tss(_third_instance(seed), k, l))
 
@@ -144,11 +147,11 @@ EXPECTED: dict[tuple, object] = {
     ("thr3", "gnp", 12, "uniform", 0.5, 2): ([7], (0, 0, 0, 0, 0, 0, 0, 0, 10, 1, 0, 9, 0)),
     ("thr3", "gnp", 9, "const", 0.4, 1):
         ([0, 1, 4, 8], (3, 10, 11, 132, 0, 0, 0, 0, 9, 0, 1, 43, 135)),
-    ("dual", 10, 1, 0): [8],
-    ("dual", 10, 1, 1): [4, 6, 9],
-    ("dual", 10, 1, 2): [4, 6, 8],
-    ("dual", 12, 2, 0): [],
-    ("dual", 12, 2, 1): [4],
+    ("dual", 10, 1, 0): ([8], 20),
+    ("dual", 10, 1, 1): ([4, 6, 9], 115),
+    ("dual", 10, 1, 2): ([4, 6, 8], 105),
+    ("dual", 12, 2, 0): ([], 25),
+    ("dual", 12, 2, 1): ([4], 55),
     ("third", 0, 1, 14): [4],
     ("third", 0, 0, 14): None,
     ("third", 0, 2, 10): [4],
