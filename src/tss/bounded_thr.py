@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from math import comb, log2
 from typing import Optional, Sequence
 
-from .activation import closure, closure_mask, mask_of, members, seed_masks
+from .activation import closure_mask, mask_of, members, seed_masks
+from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .instance import Instance, subsets_ascending
 from .mpvc import enum_minimal_pvcs
 from .stats import Stats
@@ -268,21 +269,22 @@ def solve_bounded(
     masks = inst.graph.neighbor_masks()
 
     def stage1(selected: frozenset[int], excluded: frozenset[int],
-               free: frozenset[int]) -> Optional[frozenset[int]]:
-        move = closure(inst, selected) & free
-        if move:
-            if stats is not None:
-                stats.rr1_moves += len(move)
-            excluded |= move
-            free -= move
+               free: frozenset[int], act: int) -> Optional[frozenset[int]]:
+        # act is the parent's closure: exact as a seed, since the selection only grows
+        act = closure_mask(masks, thr, act | mask_of(selected))
+        move = frozenset(v for v in free if (act >> v) & 1)
+        if stats is not None:
+            stats.rr1_moves += len(move)
+        excluded |= move
+        free -= move
         if len(selected) > k:
             return None
         if len(free) <= gamma * n:
             if stats is not None:
                 stats.br2_leaves += 1
-            for seed in seed_masks(sorted(free), k - len(selected), mask_of(selected)):
+            for seed in seed_masks(sorted(free), k - len(selected), act):
                 if closure_mask(masks, thr, seed).bit_count() >= l:
-                    return members(seed)
+                    return selected | members(seed & ~act)
             return None
         split = br1_split(nbr, thr, free)
         if split is not None:
@@ -291,7 +293,7 @@ def solve_bounded(
                 stats.br1_apps += 1
                 stats.br1_children.append((len(group) - 1, len(children)))
             for to_sel, to_exc in children:
-                res = stage1(selected | to_sel, excluded | to_exc, free - group)
+                res = stage1(selected | to_sel, excluded | to_exc, free - group, act)
                 if res is not None:
                     return res
             return None
@@ -361,4 +363,4 @@ def solve_bounded(
             u for u, b in leaf.membership.items() if b
         ) | picks
 
-    return stage1(frozenset(), frozenset(), frozenset(range(n)))
+    return stage1(frozenset(), frozenset(), frozenset(range(n)), 0)

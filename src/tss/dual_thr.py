@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .activation import members
 from .instance import Graph, Instance
 from .stats import Stats
 
@@ -20,7 +21,7 @@ def is_d_degenerate(g: Graph, d: int) -> bool:
     """True iff repeatedly deleting any vertex with at most d remaining neighbors empties g."""
     if d < 0:
         raise ValueError("degeneracy bound must be non-negative")
-    return _peels_empty(g.neighbor_sets(), set(range(g.n)), [d] * g.n)
+    return _peels_empty(g.neighbor_masks(), (1 << g.n) - 1, [d] * g.n)
 
 
 def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) -> frozenset[int]:
@@ -38,47 +39,41 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
     bad = [v for v in range(inst.n) if duals[v] > d]
     if bad:
         raise ValueError(f"dual threshold {duals[bad[0]]} of vertex {bad[0]} exceeds {d}")
-    nbr = inst.graph.neighbor_sets()
+    masks = inst.graph.neighbor_masks()
     candidates = [v for v in range(inst.n) if duals[v] >= 0]
-    best: list[frozenset[int]] = [frozenset()]
+    best = [0]
 
-    def rec(i: int, current: list[int]) -> None:
+    def rec(i: int, current: int) -> None:
         if stats is not None:
             stats.dual_nodes += 1
-        if len(current) + (len(candidates) - i) <= len(best[0]):
+        if current.bit_count() + (len(candidates) - i) <= best[0].bit_count():
             return
         if i == len(candidates):
-            best[0] = frozenset(current)
+            best[0] = current
             return
-        v = candidates[i]
-        current.append(v)
-        if _peels_empty(nbr, set(current), duals):
-            rec(i + 1, current)
-        current.pop()
+        pick = current | 1 << candidates[i]
+        if _peels_empty(masks, pick, duals):
+            rec(i + 1, pick)
         rec(i + 1, current)
 
-    rec(0, [])
-    return frozenset(range(inst.n)) - best[0]
+    rec(0, 0)
+    return frozenset(range(inst.n)) - members(best[0])
 
 
-def _peels_empty(
-    nbr: tuple[frozenset[int], ...], remaining: set[int], bound: Sequence[int]
-) -> bool:
-    """Whether deleting vertices with remaining degree <= their own bound empties the set.
-
-    Deleting an eligible vertex never blocks another, so greedy order suffices.
+def _peels_empty(masks: Sequence[int], remaining: int, bound: Sequence[int]) -> bool:
+    """Whether deleting vertices with remaining degree <= their own bound empties
+    the vertex mask remaining. Deleting an eligible vertex never blocks another,
+    so a sweep deletes each eligible vertex it meets; one that deletes none is stuck.
     """
-    deg = {v: len(nbr[v] & remaining) for v in remaining}
-    stack = [v for v in remaining if deg[v] <= bound[v]]
-    gone: set[int] = set()
-    while stack:
-        v = stack.pop()
-        if v in gone:
-            continue
-        gone.add(v)
-        for u in nbr[v]:
-            if u in remaining and u not in gone:
-                deg[u] -= 1
-                if deg[u] == bound[u]:
-                    stack.append(u)
-    return len(gone) == len(remaining)
+    pending = [v for v in range(remaining.bit_length()) if (remaining >> v) & 1]
+    while pending:
+        still: list[int] = []
+        for v in pending:
+            if (masks[v] & remaining).bit_count() <= bound[v]:
+                remaining ^= 1 << v
+            else:
+                still.append(v)
+        if len(still) == len(pending):
+            return False
+        pending = still
+    return True

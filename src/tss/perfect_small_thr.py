@@ -18,7 +18,8 @@ from __future__ import annotations
 from math import floor
 from typing import Optional
 
-from .activation import closure, closure_mask, is_perfect_target_set, mask_of, members, seed_masks
+from .activation import closure_mask, is_perfect_target_set, mask_of, members, seed_masks
+from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .bounded_thr import br1_split
 from .instance import Graph, Instance, subsets_ascending
 from .stats import Stats
@@ -98,51 +99,52 @@ def _min_perfect_equal(
     )
     full_mask = (1 << n) - 1
 
-    # Part 1: ascending brute force up to part1_max. Star leaves have one
-    # neighbor and threshold t >= 2, so they sit in every perfect target set;
-    # only the remaining vertices are enumerated around them.
-    others = [v for v in range(n) if v not in leaves]
-    for seed in seed_masks(others, part1_max - t * t, mask_of(leaves)):
+    # Part 1: ascending brute force up to part1_max. Star leaves (one neighbor,
+    # threshold t >= 2) sit in every perfect target set; what they activate seeds
+    # every candidate, and a minimum set holds none of it, so the rest is enumerated.
+    forced = closure_mask(masks, thr, mask_of(leaves))
+    others = [v for v in range(n) if not (forced >> v) & 1]
+    for seed in seed_masks(others, part1_max - t * t, forced):
         if closure_mask(masks, thr, seed) == full_mask:
             if stats is not None:
                 stats.part1_found = True
-            return members(seed)
+            return leaves | members(seed & ~forced)
 
     # Part 2: branch and reduce; the incumbent starts at the full vertex set.
     nbr = eq.graph.neighbor_sets()
     deg = [eq.graph.degree(v) for v in range(n)]
     best: list[frozenset[int]] = [frozenset(range(n))]
 
-    def leaf_bruteforce(selected: frozenset[int], free: frozenset[int]) -> None:
+    def leaf_bruteforce(selected: frozenset[int], free: frozenset[int], act: int) -> None:
+        # act, the closure of selected, seeds every candidate; the witness keeps selected
         if stats is not None:
             stats.leaf_bruteforces += 1
         limit = len(best[0]) - len(selected) - 1
-        for seed in seed_masks(sorted(free), limit, mask_of(selected)):
+        for seed in seed_masks(sorted(free), limit, act):
             if closure_mask(masks, thr, seed) == full_mask:
-                best[0] = members(seed)
+                best[0] = selected | members(seed & ~act)
                 return
 
     def branch(selected: frozenset[int], excluded: frozenset[int],
-               free: frozenset[int]) -> None:
+               free: frozenset[int], act: int) -> None:
+        # act is the parent's closure: exact as a seed, since the selection only grows
         while True:
-            move = closure(eq, selected) & free
-            if move:
-                if stats is not None:
-                    stats.rr1_moves += len(move)
-                excluded |= move
-                free -= move
-                continue
+            act = closure_mask(masks, thr, act | mask_of(selected))
+            move = frozenset(v for v in free if (act >> v) & 1)
+            if stats is not None:
+                stats.rr1_moves += len(move)
+            excluded |= move
+            free -= move
             low = frozenset(v for v in free if deg[v] < t)
-            if low:
-                if stats is not None:
-                    stats.rr3_moves += len(low)
-                selected |= low
-                free -= low
-                continue
-            break
+            if not low:
+                break
+            if stats is not None:
+                stats.rr3_moves += len(low)
+            selected |= low
+            free -= low
         if len(selected) >= len(best[0]):
             return
-        if closure_mask(masks, thr, mask_of(selected | free)) != full_mask:
+        if closure_mask(masks, thr, act | mask_of(free)) != full_mask:
             return
 
         split = br1_split(nbr, thr, free)
@@ -152,14 +154,11 @@ def _min_perfect_equal(
                 stats.br1_apps += 1
                 stats.br1_children.append((t, len(children)))
             for to_sel, to_exc in children:
-                branch(selected | to_sel, excluded | to_exc, free - group)
+                branch(selected | to_sel, excluded | to_exc, free - group, act)
             return
 
-        edge = None
-        for u, v in eq.graph.edges():
-            if u in free and v in free and deg[u] == t and deg[v] == t:
-                edge = (u, v)
-                break
+        edge = next(((u, v) for u, v in eq.graph.edges()
+                     if u in free and v in free and deg[u] == deg[v] == t), None)
         if edge is not None:
             u, v = edge
             children4 = [
@@ -171,7 +170,7 @@ def _min_perfect_equal(
                 stats.r4_apps += 1
                 stats.r4_children.append(len(children4))
             for to_sel, to_exc in children4:
-                branch(selected | to_sel, excluded | to_exc, free - {u, v})
+                branch(selected | to_sel, excluded | to_exc, free - {u, v}, act)
             return
 
         if t == 3:
@@ -193,13 +192,13 @@ def _min_perfect_equal(
                     stats.r5_apps += 1
                     stats.r5_children.append(len(children5))
                 for to_sel, to_exc in children5:
-                    branch(selected | to_sel, excluded | to_exc, free - group)
+                    branch(selected | to_sel, excluded | to_exc, free - group, act)
                 return
 
         if t == 2:
             # with no rule applicable the already-decided part activates everything
-            assert is_perfect_target_set(eq, selected | excluded)
-        leaf_bruteforce(selected, free)
+            assert closure_mask(masks, thr, act | mask_of(excluded)) == full_mask
+        leaf_bruteforce(selected, free, act)
 
-    branch(frozenset(), frozenset(), frozenset(range(n)))
+    branch(frozenset(), frozenset(), frozenset(range(n)), 0)
     return best[0]

@@ -34,8 +34,7 @@ class Stats:
     part1_max_size: int = 0
     part1_found: bool = False
     leaf_bruteforces: int = 0
-    # dual: nodes of the branch-and-bound
-    dual_nodes: int = 0
+    dual_nodes: int = 0  # dual: nodes of the branch-and-bound
     # minimal partial vertex cover enumeration
     branch_nodes: int = 0
     leaf_nodes: int = 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from tss import Graph, Instance
 
 
@@ -104,3 +106,12 @@ def naive_rounds(inst: Instance, seed: frozenset[int]) -> list[frozenset[int]]:
             return rounds
         rounds.append(nxt)
         current = nxt
+
+
+@st.composite
+def graphs(draw, max_n: int) -> Graph:
+    """A simple graph on at most max_n vertices, each possible edge drawn independently."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, kept in zip(pairs, keep) if kept])

@@ -1,9 +1,12 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tss import Graph, Instance, activate, closure, is_perfect_target_set
 from tss.activation import closure_mask
 
-from helpers import complete_instance, naive_rounds, path_instance, rand_gnp_instance
+from helpers import complete_instance, graphs, naive_rounds, path_instance, rand_gnp_instance
 
 
 def test_triangle_two_seeds():
@@ -95,3 +98,17 @@ def test_mask_closure_matches_set_closure():
         got = closure_mask(inst.graph.neighbor_masks(), inst.thr, seed_mask)
         expect = closure(inst, seed)
         assert got == sum(1 << v for v in expect)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graphs(12), st.data())
+def test_closure_mask_seeded_from_closure(g, data):
+    # closure(closure(A) | B) == closure(A | B): a search node may seed its
+    # closure with its parent's, since a child's selection contains the parent's
+    thr = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))
+    a = data.draw(st.integers(0, (1 << g.n) - 1))
+    b = data.draw(st.integers(0, (1 << g.n) - 1))
+    masks = g.neighbor_masks()
+    assert closure_mask(masks, thr, closure_mask(masks, thr, a) | b) == closure_mask(
+        masks, thr, a | b
+    )

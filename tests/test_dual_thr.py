@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tss import (
     Graph,
@@ -11,8 +13,11 @@ from tss import (
     oracle_min_perfect_tss,
     solve_dual_perfect,
 )
+from tss.activation import closure, mask_of
+from tss.dual_thr import _peels_empty
+from tss.oracle import _peels_empty as oracle_peels_empty
 
-from helpers import complete_instance, rand_dual_instance, star_graph
+from helpers import complete_instance, graphs, rand_dual_instance, star_graph
 
 
 def test_is_d_degenerate_basics():
@@ -104,3 +109,26 @@ def test_precondition():
         solve_dual_perfect(inst, 1)  # duals are 2
     with pytest.raises(ValueError):
         solve_dual_perfect(inst, -1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graphs(12), st.data())
+def test_mask_peel_matches_oracle_peel(g, data):
+    bound = data.draw(st.lists(st.integers(-1, 4), min_size=g.n, max_size=g.n))
+    keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    remaining = {v for v in range(g.n) if keep[v]}
+    assert _peels_empty(g.neighbor_masks(), mask_of(remaining), bound) == oracle_peels_empty(
+        g.neighbor_sets(), remaining, bound
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(graphs(12), st.data())
+def test_dual_solver_is_minimum_and_perfect(g, data):
+    # thr(v) = deg(v) + 1 gives a negative dual value: v activates only when selected
+    thr = tuple(data.draw(st.integers(0, g.degree(v) + 1)) for v in range(g.n))
+    inst = Instance(g, thr)
+    d = max(0, max(inst.dual_values(), default=0))
+    answer = solve_dual_perfect(inst, d)
+    assert len(answer) == len(oracle_min_perfect_tss(inst))
+    assert closure(inst, answer) == frozenset(range(g.n))
