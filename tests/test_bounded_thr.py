@@ -142,6 +142,24 @@ def test_branch_rule_child_counts():
     assert seen_any
 
 
+def test_br1_split_children_in_size_then_lexicographic_order():
+    # ids past a small set's hash table size, so iterating the group as a
+    # frozenset would not give the sorted order the children must follow
+    g = Graph(41, [(3, 9), (3, 20), (3, 40), (3, 30)])
+    thr = [1] * 41
+    thr[3] = 3
+    group, children = bounded_thr.br1_split(g.neighbor_sets(), thr,
+                                            frozenset({3, 9, 20, 30, 40}))
+    assert group == {3, 9, 20, 30}
+    assert [(sorted(sel), sorted(exc)) for sel, exc in children] == [
+        ([], [3, 9, 20, 30]),
+        ([3], [9, 20, 30]), ([9], [3, 20, 30]), ([20], [3, 9, 30]), ([30], [3, 9, 20]),
+        ([3, 9], [20, 30]), ([3, 20], [9, 30]), ([3, 30], [9, 20]),
+        ([9, 20], [3, 30]), ([9, 30], [3, 20]), ([20, 30], [3, 9]),
+        ([9, 20, 30], [3]),
+    ]
+
+
 def test_quota_branch_child_counts_and_pair_bound():
     rng = random.Random(18)
     seen_quota = False

@@ -28,9 +28,9 @@ PERFECT_COUNTERS = ("rr1_moves", "rr3_moves", "br1_apps", "br1_children", "r4_ap
                     "part1_found", "leaf_bruteforces")
 
 
-def _third_instance(seed: int) -> Instance:
+def _third_instance(seed: int, p: float = 0.3) -> Instance:
     """A gnp draw with every threshold at the degree/3 cap, ceil(deg/3)."""
-    g = gen_random("gnp", 14, "const", seed, p=0.3, thr_param=0).graph
+    g = gen_random("gnp", 14, "const", seed, p=p, thr_param=0).graph
     return Instance(g, tuple(-(-g.degree(v) // 3) for v in range(g.n)))
 
 
@@ -83,8 +83,8 @@ def _run(case: tuple, monkeypatch):
         stats = Stats()
         witness = solve_dual_perfect(inst, d, stats)
         return _sorted(witness), stats.dual_nodes
-    _, seed, k, l = case
-    return _sorted(solve_ratio_tss(_third_instance(seed), k, l))
+    _, seed, k, l, *p = case
+    return _sorted(solve_ratio_tss(_third_instance(seed, *p), k, l))
 
 
 def _sorted(witness):
@@ -163,6 +163,28 @@ EXPECTED: dict[tuple, object] = {
     ("third", 2, 1, 14): [0],
     ("third", 2, 0, 14): None,
     ("third", 2, 2, 10): [0],
+    # thr3 draws where R5 fires on a trio whose middle vertex is not the
+    # median id, so the witness or the counters depend on R5's child order.
+    ("thr3", "gnp", 10, "const", 0.3, 3):
+        ([0, 2, 3, 4, 6, 8, 9], (4, 15, 0, 0, 0, 0, 1, 7, 9, 0, 1, 14, 0)),
+    ("thr3", "gnp", 10, "uniform", 0.3, 22):
+        ([0, 1, 4, 8, 9], (6, 13, 0, 0, 0, 0, 1, 7, 9, 0, 1, 14, 0)),
+    ("thr3", "gnp", 11, "const", 0.3, 35):
+        ([0, 1, 4, 5, 7, 8, 9], (10, 15, 0, 0, 0, 0, 1, 7, 10, 0, 2, 28, 0)),
+    ("thr3", "gnp", 9, "const", 0.4, 25):
+        ([0, 2, 3, 5, 6], (3, 11, 1, 12, 0, 0, 7, 49, 9, 0, 1, 85, 0)),
+    # Sparse third draws (p = 0.12) with two-vertex and isolated components,
+    # where the witness takes a vertex of a two-vertex component.
+    ("third", 28, 4, 14, 0.12): [0, 2, 4, 7],
+    ("third", 28, 3, 14, 0.12): None,
+    ("third", 28, 3, 12, 0.12): [0, 2, 4],
+    ("third", 28, 3, 10, 0.12): [0, 2, 7],
+    ("third", 13, 3, 14, 0.12): [1, 2, 6],
+    ("third", 13, 2, 14, 0.12): None,
+    ("third", 13, 2, 10, 0.12): [2, 6],
+    ("third", 29, 3, 14, 0.12): [3, 5, 8],
+    ("third", 29, 2, 14, 0.12): None,
+    ("third", 29, 2, 10, 0.12): [5, 8],
 }
 
 
