@@ -8,7 +8,7 @@ is monotone and reaches its fixpoint within n rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -36,8 +36,8 @@ class ActivationTrace:
         return len(self.rounds) - 1
 
 
-def activate(inst: Instance, seed: Iterable[int]) -> ActivationTrace:
-    """Run the activation process from the seed set, recording every round.
+def _layers(inst: Instance, seed: Iterable[int]) -> list[list[int]]:
+    """The seed, then the vertices activating in each round, up to the fixpoint.
 
     Queue-driven: per-vertex counters of activated neighbors are updated as
     vertices activate, so a counter reaching the threshold in round i triggers
@@ -47,70 +47,47 @@ def activate(inst: Instance, seed: Iterable[int]) -> ActivationTrace:
     thr = inst.thr
     adj = inst.graph.adj
     active = [False] * n
-    round_of: list[Optional[int]] = [None] * n
     for v in seed:
         if not (0 <= v < n):
             raise ValueError(f"seed vertex {v} out of range")
         active[v] = True
-        round_of[v] = 0
-
+    layers = [[v for v in range(n) if active[v]]]
     count = [0] * n
-    for v in range(n):
-        if active[v]:
-            for u in adj[v]:
-                count[u] += 1
-
-    rounds = [frozenset(v for v in range(n) if active[v])]
-    queued = [False] * n
+    for v in layers[0]:
+        for u in adj[v]:
+            count[u] += 1
     frontier = [v for v in range(n) if not active[v] and count[v] >= thr[v]]
-    for v in frontier:
-        queued[v] = True
-    r = 0
     while frontier:
-        r += 1
+        layers.append(frontier)
         for v in frontier:
             active[v] = True
-            round_of[v] = r
-        rounds.append(rounds[-1] | frozenset(frontier))
         nxt: list[int] = []
         for v in frontier:
             for u in adj[v]:
                 if not active[u]:
                     count[u] += 1
-                    if not queued[u] and count[u] >= thr[u]:
-                        queued[u] = True
+                    # a vertex at or past its threshold already sits in a
+                    # frontier; the others join once, on reaching it
+                    if count[u] == thr[u]:
                         nxt.append(u)
         frontier = nxt
-    return ActivationTrace(tuple(rounds), tuple(round_of))
+    return layers
+
+
+def activate(inst: Instance, seed: Iterable[int]) -> ActivationTrace:
+    """Run the activation process from the seed set, recording every round."""
+    layers = _layers(inst, seed)
+    round_of: list[Optional[int]] = [None] * inst.n
+    for r, layer in enumerate(layers):
+        for v in layer:
+            round_of[v] = r
+    rounds = tuple(accumulate(map(frozenset, layers), frozenset.union))
+    return ActivationTrace(rounds, tuple(round_of))
 
 
 def closure(inst: Instance, seed: Iterable[int]) -> frozenset[int]:
     """The set of eventually-activated vertices (fixpoint), without trace bookkeeping."""
-    n = inst.n
-    thr = inst.thr
-    adj = inst.graph.adj
-    active = [False] * n
-    for v in seed:
-        active[v] = True
-    count = [0] * n
-    for v in range(n):
-        if active[v]:
-            for u in adj[v]:
-                count[u] += 1
-    queued = [False] * n
-    stack = [v for v in range(n) if not active[v] and count[v] >= thr[v]]
-    for v in stack:
-        queued[v] = True
-    while stack:
-        v = stack.pop()
-        active[v] = True
-        for u in adj[v]:
-            if not active[u]:
-                count[u] += 1
-                if not queued[u] and count[u] >= thr[u]:
-                    queued[u] = True
-                    stack.append(u)
-    return frozenset(v for v in range(n) if active[v])
+    return frozenset(chain.from_iterable(_layers(inst, seed)))
 
 
 def is_perfect_target_set(inst: Instance, seed: Iterable[int]) -> bool:
@@ -151,7 +128,11 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def members(mask: int) -> frozenset[int]:
     """The vertices whose bits are set in mask; inverse of mask_of."""
-    return frozenset(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+    out = []
+    while mask:  # one step per set bit: search masks are sparse in wide graphs
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return frozenset(out)
 
 
 def seed_masks(items: Sequence[int], max_size: int, base: int = 0) -> Iterator[int]:

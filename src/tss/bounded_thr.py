@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .activation import closure_mask, mask_of, members, seed_masks
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
-from .instance import Instance, subsets_ascending
+from .instance import Instance
 from .mpvc import enum_minimal_pvcs
 from .stats import Stats
 
@@ -104,8 +104,8 @@ def br1_split(
     group_t = sorted(nbr[pivot] & free)[: thr[pivot]]
     group = frozenset(group_t + [pivot])
     children = [
-        (frozenset(inside), group - frozenset(inside))
-        for inside in subsets_ascending(sorted(group), thr[pivot] - 1)
+        (inside, group - inside)
+        for inside in map(members, seed_masks(sorted(group), thr[pivot] - 1))
     ]
     children.append((frozenset(group_t), frozenset({pivot})))
     return group, children
@@ -245,7 +245,6 @@ def solve_bounded(
     *,
     gamma: Optional[float] = None,
     stats: Optional[Stats] = None,
-    leaf_sink: Optional[list[BranchLeaf]] = None,
 ) -> Optional[frozenset[int]]:
     """Find X with |X| <= k activating at least l vertices, or None.
 
@@ -352,8 +351,6 @@ def solve_bounded(
             outside = [v for v in outside if v not in projected]
             i, newly = 0, []
         leaf = BranchLeaf(inst, state, ctx.cover, ctx.quota, ctx.member, projected)
-        if leaf_sink is not None:
-            leaf_sink.append(leaf)
         if stats is not None:
             stats.stage2_leaves += 1
         picks = stage3_dp(leaf, k, l, stats)

@@ -73,6 +73,9 @@ def run(argv: Sequence[str]) -> int:
     except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: search exceeds the recursion limit {sys.getrecursionlimit()}", file=sys.stderr)
+        return 2
 
 
 @functools.cache
@@ -358,6 +361,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    # imported per call: perfbench's perfect.gadget span rebinds the name in its module
     from .perfect_small_thr import gadget_bounded_to_equal
 
     inst = _load(args.file, args.force)

@@ -16,8 +16,8 @@ import warnings
 from math import floor
 from typing import Optional, Sequence
 
-from .activation import closure, is_perfect_target_set
-from .instance import Instance, subsets_ascending
+from .activation import closure_mask, is_perfect_target_set, mask_of, members, seed_masks
+from .instance import Instance
 
 SIZE_FRACTION = 0.45
 SAMPLES_PER_VERTEX = 64
@@ -86,9 +86,10 @@ def _construct(inst: Instance, rng: random.Random) -> frozenset[int]:
             return best
     assert best is not None
     if n <= EXHAUSTIVE_FALLBACK_N:
-        for sub in subsets_ascending(range(n), bound):
-            if is_perfect_target_set(inst, sub):
-                return frozenset(sub)
+        masks = inst.graph.neighbor_masks()
+        for seed in seed_masks(range(n), bound):
+            if closure_mask(masks, inst.thr, seed).bit_count() == n:
+                return members(seed)
         raise RuntimeError("no perfect target set within the size bound; precondition violated?")
     warnings.warn(
         f"ordering samples exceeded the floor(0.45n) bound (best {len(best)} > {bound})",
@@ -133,35 +134,26 @@ def solve_ratio_tss(inst: Instance, k: int, l: int) -> Optional[frozenset[int]]:
 
     Components of size >= 3 admit a perfect target set within 0.45n, so only
     selections of at most floor(0.45n) vertices inside them need considering;
-    the remaining budget goes greedily to inactive two-vertex components (each
-    pick activates exactly two vertices) and then isolated vertices (one each).
+    the remaining budget goes greedily to inactive two-vertex components, each
+    pick activating exactly two vertices. Isolated vertices have threshold 0
+    under the cap, so they activate for free.
     """
     _check_ratio(inst)
     if k < 0 or l < 0:
         raise ValueError("budget and target must be non-negative")
     n = inst.n
+    masks = inst.graph.neighbor_masks()
     comps = inst.graph.components()
     big_vertices = sorted(v for c in comps if len(c) >= 3 for v in c)
-    pairs = [c for c in comps if len(c) == 2]
-    singles = [c for c in comps if len(c) == 1]
+    pair_heads = [c[0] for c in comps if len(c) == 2]
     bound = min(floor(SIZE_FRACTION * n), k)
-    for sub in subsets_ascending(big_vertices, bound):
-        act = closure(inst, sub)
-        if len(act) >= l:
-            return frozenset(sub)
-        picked = set(sub)
-        for comp in pairs:
-            if len(picked) >= k:
-                break
-            if comp[0] not in act:
-                picked.add(comp[0])
-        for comp in singles:
-            if len(picked) >= k:
-                break
-            if comp[0] not in act:
-                picked.add(comp[0])
-        if len(picked) > len(sub) and len(closure(inst, picked)) >= l:
-            return frozenset(picked)
+    for seed in seed_masks(big_vertices, bound):
+        act = closure_mask(masks, inst.thr, seed)
+        if act.bit_count() >= l:
+            return members(seed)
+        picks = [v for v in pair_heads if not (act >> v) & 1][: k - seed.bit_count()]
+        if picks and closure_mask(masks, inst.thr, act | mask_of(picks)).bit_count() >= l:
+            return members(seed | mask_of(picks))
     return None
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .activation import mask_of
 
@@ -352,9 +351,3 @@ def _regular_edges(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
         return [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse]
     raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
-
-def subsets_ascending(items: Sequence[int], max_size: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All subsets of items in (size, lexicographic) order, optionally size-capped."""
-    top = len(items) if max_size is None else min(max_size, len(items))
-    for size in range(top + 1):
-        yield from combinations(items, size)

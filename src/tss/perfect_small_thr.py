@@ -21,7 +21,7 @@ from typing import Optional
 from .activation import closure_mask, is_perfect_target_set, mask_of, members, seed_masks
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .bounded_thr import br1_split
-from .instance import Graph, Instance, subsets_ascending
+from .instance import Graph, Instance
 from .stats import Stats
 
 # Brute-force cutoff fractions for the two solvers: part 1 covers candidate
@@ -184,10 +184,8 @@ def _min_perfect_equal(
                     break
             if trio is not None:
                 group = frozenset(trio)
-                children5 = [
-                    (frozenset(inside), group - frozenset(inside))
-                    for inside in subsets_ascending(sorted(group))
-                ][1:]
+                children5 = [(inside, group - inside)
+                             for inside in map(members, seed_masks(sorted(group), 3))][1:]
                 if stats is not None:
                     stats.r5_apps += 1
                     stats.r5_children.append(len(children5))

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +79,26 @@ def test_fixpoint_idempotent_and_bounded():
         final = closure(inst, seed)
         assert closure(inst, final) == final
         assert activate(inst, seed).num_rounds <= inst.n
+
+
+def test_seed_out_of_range_rejected():
+    # -1 must not wrap around to the last vertex through negative indexing
+    inst = path_instance((1, 1, 1))
+    for seed in ({-1}, {3}):
+        with pytest.raises(ValueError):
+            closure(inst, seed)
+        with pytest.raises(ValueError):
+            activate(inst, seed)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graphs(12), st.data())
+def test_closure_activate_and_naive_rounds_agree(g, data):
+    thr = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))
+    picked = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    inst = Instance(g, tuple(thr))
+    seed = frozenset(v for v, b in enumerate(picked) if b)
+    assert closure(inst, seed) == activate(inst, seed).activated == naive_rounds(inst, seed)[-1]
 
 
 def test_long_cascade_round_structure():

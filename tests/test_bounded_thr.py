@@ -265,17 +265,26 @@ def test_dp_infeasible_promise():
     assert stage3_dp(leaf, 3, 0) is None
 
 
-def test_projected_set_describes_activation_outside_hidden_selection():
+def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch):
     # for every explored leaf and every selection consistent with its record,
-    # the projected set and the true activated set agree off the selection
+    # the projected set and the true activated set agree off the selection;
+    # stage 3 runs once per leaf, so wrapping it collects every leaf
+    leaves: list[BranchLeaf] = []
+    original = bounded_thr.stage3_dp
+
+    def recording(leaf, *args):
+        leaves.append(leaf)
+        return original(leaf, *args)
+
+    monkeypatch.setattr(bounded_thr, "stage3_dp", recording)
     rng = random.Random(909)
     checked = 0
     for _ in range(40):
         n = rng.randint(4, 7)
         inst = rand_gnp_instance(rng, n, rng.randint(1, 3), p=0.45)
         t = max(1, inst.max_threshold())
-        leaves: list[BranchLeaf] = []
-        solve_bounded(inst, n, n + 1, t, gamma=0.0, leaf_sink=leaves)
+        leaves.clear()
+        solve_bounded(inst, n, n + 1, t, gamma=0.0)
         nbr = inst.graph.neighbor_sets()
         for leaf in leaves[:40]:
             free = leaf.state.free

@@ -8,6 +8,8 @@ from tss import gen_random, parse_instance, write_instance
 from tss.cli import _build_parser, run
 from tss.stats import Stats
 
+from helpers import path_instance
+
 ROOT = Path(__file__).resolve().parent.parent
 K3 = "p tss 3 3\nt 1 2\nt 2 2\nt 3 2\ne 1 2\ne 1 3\ne 2 3\nq 2 3\n"
 # thresholds 1 keep the degree/3 cap, so every solve and perfect algorithm accepts it
@@ -274,6 +276,16 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert run(argv) == 2
 
 
+def test_deep_search_exits_2_with_diagnostic(tmp_path, capsys):
+    # dual's branch-and-bound nests once per vertex, so a 1,100-vertex path
+    # with thr = deg (dual 0) passes the default recursion limit of 1,000
+    n = 1100
+    path = _write(tmp_path, "path.tss", write_instance(path_instance((1,) + (2,) * (n - 2) + (1,))))
+    assert run(["perfect", path, "--algo", "dual"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "recursion limit" in err
+
+
 def test_cross_algorithm_agreement_on_generated_corpus(tmp_path, capsys):
     # every applicable solver must report the same YES/NO and perfect minimum
     for seed in range(6):
@@ -281,7 +293,7 @@ def test_cross_algorithm_agreement_on_generated_corpus(tmp_path, capsys):
         assert run(["gen", "--model", "gnp", "--n", "7", "--p", "0.4",
                     "--thr-model", "uniform", "--thr-value", "2",
                     "--seed", str(seed), "-o", gen_path]) == 0
-        inst = parse_instance(open(gen_path).read())
+        inst = parse_instance(Path(gen_path).read_text())
         k, l = inst.n // 2, inst.n - 1
         answers = set()
         for algo in ("oracle", "bounded"):

@@ -4,6 +4,7 @@ from math import floor
 
 import pytest
 
+import tss.degree_ratio as degree_ratio
 from tss import (
     Graph,
     Instance,
@@ -94,6 +95,22 @@ def test_construct_meets_bound_on_corpus():
         got = construct_small_pts(inst, seed=trial)
         assert is_perfect_target_set(inst, got)
         assert len(got) <= floor(0.45 * n), (n, len(got), inst.graph.edges(), inst.thr)
+
+
+def test_exhaustive_fallback_returns_oracle_minimum(monkeypatch):
+    # with every ordering sample taking all vertices, sampling never meets the
+    # bound and the fallback answers alone: the first perfect set in (size,
+    # lexicographic) order within floor(0.45n), which is the oracle's
+    monkeypatch.setattr(degree_ratio, "pts_from_permutation", lambda inst, order: frozenset(order))
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(40):
+        inst = rand_connected_ratio_instance(rng, rng.randint(4, 12))
+        if 2 * sum(1 for v in range(inst.n) if inst.graph.degree(v) == 1) > inst.n:
+            continue  # the degree-one peeling rule answers these before sampling
+        assert construct_small_pts(inst) == oracle_min_perfect_tss(inst)
+        checked += 1
+    assert checked > 20
 
 
 def test_construct_deterministic_for_seed():
