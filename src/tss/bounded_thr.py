@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, log2
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .activation import closure_mask, mask_of, members, seed_masks
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
@@ -81,17 +81,21 @@ class BranchLeaf:
     projected: frozenset[int]
 
 
+Split = Optional[tuple[frozenset[int], list[frozenset[int]]]]
+
+
 def br1_split(
-    nbr: Sequence[frozenset[int]], thr: Sequence[int], free: frozenset[int]
-) -> Optional[tuple[frozenset[int], list[tuple[frozenset[int], frozenset[int]]]]]:
+    nbr: Sequence[frozenset[int]], thr: Sequence[int], free: frozenset[int],
+    stats: Optional[Stats] = None,
+) -> Split:
     """Branching rule BR1 over the free part: (group, children), or None if it does not apply.
 
     The pivot is the free vertex with the most free neighbors among those with
     at least thr of them (the smallest id on ties); the group is the pivot plus
-    its thr smallest free neighbors. The children, as (to select, to exclude)
-    pairs over the group, are every split selecting fewer than thr members, in
-    (size, lexicographic) order, then the split selecting the thr neighbors,
-    which activate the pivot, and excluding the pivot.
+    its thr smallest free neighbors. The children, as the group members each
+    selects (the rest of the group is excluded), are every split selecting fewer
+    than thr members, in (size, lexicographic) order, then the thr neighbors,
+    which activate the excluded pivot.
     """
     pivot = -1
     pivot_deg = -1
@@ -103,12 +107,52 @@ def br1_split(
         return None
     group_t = sorted(nbr[pivot] & free)[: thr[pivot]]
     group = frozenset(group_t + [pivot])
-    children = [
-        (inside, group - inside)
-        for inside in map(members, seed_masks(sorted(group), thr[pivot] - 1))
-    ]
-    children.append((frozenset(group_t), frozenset({pivot})))
+    children = [*map(members, seed_masks(sorted(group), thr[pivot] - 1)), frozenset(group_t)]
+    if stats is not None:
+        stats.br1_apps += 1
+        stats.br1_children.append((thr[pivot], len(children)))
     return group, children
+
+
+def branch_and_reduce(
+    masks: Sequence[int], thr: Sequence[int], rules: Sequence[Callable[[frozenset[int]], Split]],
+    prune: Callable[..., object], leaf: Callable[..., object], stats: Optional[Stats],
+    forced: Optional[Callable[[frozenset[int]], frozenset[int]]] = None,
+) -> object:
+    """Branch and reduce over selected / excluded / free, from everything free.
+
+    A node is (selected, free, act), excluded the rest and act the closure of
+    selected, seeded by the parent's (selections only grow). RR1 excludes the
+    free vertices in act; forced(free), if any, is selected and RR1 reruns.
+    Unless prune(selected, free, act) holds, the first rule giving (group,
+    children) branches, each child selecting its part of the group; with none,
+    leaf(selected, free, act) runs. Its first result other than None is returned.
+    """
+
+    def node(selected: frozenset[int], free: frozenset[int], act: int) -> object:
+        while True:
+            act = closure_mask(masks, thr, act | mask_of(selected))
+            move = frozenset(v for v in free if (act >> v) & 1)
+            if stats is not None:
+                stats.rr1_moves += len(move)
+            free -= move
+            if forced is None or not (low := forced(free)):
+                break
+            selected |= low
+            free -= low
+        if prune(selected, free, act):
+            return None
+        for rule in rules:
+            if (split := rule(free)) is not None:
+                group, children = split
+                for inside in children:
+                    res = node(selected | inside, free - group, act)
+                    if res is not None:
+                        return res
+                return None
+        return leaf(selected, free, act)
+
+    return node(frozenset(), frozenset(range(len(masks))), 0)
 
 
 class _Ctx:
@@ -267,17 +311,7 @@ def solve_bounded(
     nbr = inst.graph.neighbor_sets()
     masks = inst.graph.neighbor_masks()
 
-    def stage1(selected: frozenset[int], excluded: frozenset[int],
-               free: frozenset[int], act: int) -> Optional[frozenset[int]]:
-        # act is the parent's closure: exact as a seed, since the selection only grows
-        act = closure_mask(masks, thr, act | mask_of(selected))
-        move = frozenset(v for v in free if (act >> v) & 1)
-        if stats is not None:
-            stats.rr1_moves += len(move)
-        excluded |= move
-        free -= move
-        if len(selected) > k:
-            return None
+    def leaf(selected: frozenset[int], free: frozenset[int], act: int) -> Optional[frozenset[int]]:
         if len(free) <= gamma * n:
             if stats is not None:
                 stats.br2_leaves += 1
@@ -285,18 +319,7 @@ def solve_bounded(
                 if closure_mask(masks, thr, seed).bit_count() >= l:
                     return selected | members(seed & ~act)
             return None
-        split = br1_split(nbr, thr, free)
-        if split is not None:
-            group, children = split
-            if stats is not None:
-                stats.br1_apps += 1
-                stats.br1_children.append((len(group) - 1, len(children)))
-            for to_sel, to_exc in children:
-                res = stage1(selected | to_sel, excluded | to_exc, free - group, act)
-                if res is not None:
-                    return res
-            return None
-        state = SearchState(selected, excluded, free)
+        state = SearchState(selected, frozenset(range(n)) - selected - free, free)
         sub_g, old_ids = inst.graph.induced(free)
         # a fresh Stats per enumeration: a wrapper counting the object it is given sees it once
         enum_stats = None if stats is None else Stats()
@@ -350,14 +373,15 @@ def solve_bounded(
             projected = projected | frozenset(newly)
             outside = [v for v in outside if v not in projected]
             i, newly = 0, []
-        leaf = BranchLeaf(inst, state, ctx.cover, ctx.quota, ctx.member, projected)
         if stats is not None:
             stats.stage2_leaves += 1
-        picks = stage3_dp(leaf, k, l, stats)
+        picks = stage3_dp(BranchLeaf(inst, state, ctx.cover, ctx.quota, ctx.member, projected),
+                          k, l, stats)
         if picks is None:
             return None
-        return state.selected | leaf.cover | frozenset(
-            u for u, b in leaf.membership.items() if b
-        ) | picks
+        return state.selected | ctx.cover | frozenset(u for u, b in ctx.member.items() if b) | picks
 
-    return stage1(frozenset(), frozenset(), frozenset(range(n)), 0)
+    # BR1 stops where the leaf's brute force takes over
+    return branch_and_reduce(
+        masks, thr, [lambda free: None if len(free) <= gamma * n else br1_split(nbr, thr, free, stats)],
+        lambda selected, free, act: len(selected) > k, leaf, stats)

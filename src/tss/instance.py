@@ -326,6 +326,8 @@ def _regular_edges(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
 
     Pairing rarely comes out simple when d is close to n; if every retry fails
     and 2d > n - 1, the complement of a random (n - 1 - d)-regular draw is returned.
+    Otherwise stubs are paired one pair at a time, among the pairs that keep the
+    graph simple, restarting only when no such pair is left.
     """
     if d < 0 or d >= max(n, 1):
         raise ValueError(f"regular degree {d} inconsistent with n={n}")
@@ -349,5 +351,14 @@ def _regular_edges(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
     if 2 * d > n - 1:
         sparse = set(_regular_edges(rng, n, n - 1 - d))
         return [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse]
-    raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
+    while True:
+        edges, left = set(), [d] * n
+        while pairs := [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if left[u] and left[v] and (u, v) not in edges]:
+            u, v = rng.choices(pairs, [left[u] * left[v] for u, v in pairs])[0]
+            edges.add((u, v))
+            left[u] -= 1
+            left[v] -= 1
+        if not any(left):
+            return sorted(edges)
 

@@ -8,9 +8,9 @@ instance contains all t*t star leaves, the centers then activate for free,
 and original vertices behave exactly as before; minima shift by exactly t*t.
 
 On the equalized instance a two-part search runs: part 1 brute-forces small
-candidate sets in ascending size, part 2 is branch-and-reduce over
-selected / excluded / free with degree-based reduction and branching rules,
-finishing each stable branch by exhausting the free part.
+candidate sets in ascending size, part 2 is bounded_thr.branch_and_reduce
+with degree-based reduction and branching rules, finishing each stable branch
+by exhausting the free part.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 from .activation import closure_mask, is_perfect_target_set, mask_of, members, seed_masks
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
-from .bounded_thr import br1_split
+from .bounded_thr import Split, br1_split, branch_and_reduce
 from .instance import Graph, Instance
 from .stats import Stats
 
@@ -113,90 +113,54 @@ def _min_perfect_equal(
     # Part 2: branch and reduce; the incumbent starts at the full vertex set.
     nbr = eq.graph.neighbor_sets()
     deg = [eq.graph.degree(v) for v in range(n)]
-    best: list[frozenset[int]] = [frozenset(range(n))]
+    best = frozenset(range(n))
 
-    def leaf_bruteforce(selected: frozenset[int], free: frozenset[int], act: int) -> None:
-        # act, the closure of selected, seeds every candidate; the witness keeps selected
+    def rr3(free: frozenset[int]) -> frozenset[int]:
+        low = frozenset(v for v in free if deg[v] < t)
         if stats is not None:
-            stats.leaf_bruteforces += 1
-        limit = len(best[0]) - len(selected) - 1
-        for seed in seed_masks(sorted(free), limit, act):
-            if closure_mask(masks, thr, seed) == full_mask:
-                best[0] = selected | members(seed & ~act)
-                return
+            stats.rr3_moves += len(low)
+        return low
 
-    def branch(selected: frozenset[int], excluded: frozenset[int],
-               free: frozenset[int], act: int) -> None:
-        # act is the parent's closure: exact as a seed, since the selection only grows
-        while True:
-            act = closure_mask(masks, thr, act | mask_of(selected))
-            move = frozenset(v for v in free if (act >> v) & 1)
-            if stats is not None:
-                stats.rr1_moves += len(move)
-            excluded |= move
-            free -= move
-            low = frozenset(v for v in free if deg[v] < t)
-            if not low:
-                break
-            if stats is not None:
-                stats.rr3_moves += len(low)
-            selected |= low
-            free -= low
-        if len(selected) >= len(best[0]):
-            return
-        if closure_mask(masks, thr, act | mask_of(free)) != full_mask:
-            return
+    def prune(selected: frozenset[int], free: frozenset[int], act: int) -> bool:
+        return (len(selected) >= len(best)
+                or closure_mask(masks, thr, act | mask_of(free)) != full_mask)
 
-        split = br1_split(nbr, thr, free)
-        if split is not None:
-            group, children = split
-            if stats is not None:
-                stats.br1_apps += 1
-                stats.br1_children.append((t, len(children)))
-            for to_sel, to_exc in children:
-                branch(selected | to_sel, excluded | to_exc, free - group, act)
-            return
+    def r4(free: frozenset[int]) -> Split:
+        for u, v in eq.graph.edges():
+            if u in free and v in free and deg[u] == deg[v] == t:
+                if stats is not None:
+                    stats.r4_apps += 1
+                    stats.r4_children.append(3)
+                return frozenset({u, v}), [frozenset({v}), frozenset({u}), frozenset({u, v})]
+        return None
 
-        edge = next(((u, v) for u, v in eq.graph.edges()
-                     if u in free and v in free and deg[u] == deg[v] == t), None)
-        if edge is not None:
-            u, v = edge
-            children4 = [
-                (frozenset({v}), frozenset({u})),
-                (frozenset({u}), frozenset({v})),
-                (frozenset({u, v}), frozenset()),
-            ]
-            if stats is not None:
-                stats.r4_apps += 1
-                stats.r4_children.append(len(children4))
-            for to_sel, to_exc in children4:
-                branch(selected | to_sel, excluded | to_exc, free - {u, v}, act)
-            return
-
-        if t == 3:
-            trio = None
-            for v in sorted(free):
-                if deg[v] != 4:
-                    continue
-                mates = sorted(u for u in nbr[v] & free if deg[u] == 3)
-                if len(mates) >= 2:
-                    trio = (mates[0], v, mates[1])
-                    break
-            if trio is not None:
-                group = frozenset(trio)
-                children5 = [(inside, group - inside)
-                             for inside in map(members, seed_masks(sorted(group), 3))][1:]
+    def r5(free: frozenset[int]) -> Split:
+        for v in sorted(free):
+            if deg[v] != 4:
+                continue
+            mates = sorted(u for u in nbr[v] & free if deg[u] == 3)
+            if len(mates) >= 2:
+                trio = sorted((mates[0], v, mates[1]))
+                children = list(map(members, seed_masks(trio, 3)))[1:]
                 if stats is not None:
                     stats.r5_apps += 1
-                    stats.r5_children.append(len(children5))
-                for to_sel, to_exc in children5:
-                    branch(selected | to_sel, excluded | to_exc, free - group, act)
-                return
+                    stats.r5_children.append(len(children))
+                return frozenset(trio), children
+        return None
 
+    def leaf(selected: frozenset[int], free: frozenset[int], act: int) -> None:
+        # act, the closure of selected, seeds every candidate; the witness keeps selected
+        nonlocal best
         if t == 2:
             # with no rule applicable the already-decided part activates everything
-            assert closure_mask(masks, thr, act | mask_of(excluded)) == full_mask
-        leaf_bruteforce(selected, free, act)
+            assert closure_mask(masks, thr, act | (full_mask & ~mask_of(free))) == full_mask
+        if stats is not None:
+            stats.leaf_bruteforces += 1
+        for seed in seed_masks(sorted(free), len(best) - len(selected) - 1, act):
+            if closure_mask(masks, thr, seed) == full_mask:
+                best = selected | members(seed & ~act)
+                return
 
-    branch(frozenset(), frozenset(), frozenset(range(n)), 0)
-    return best[0]
+    rules = [lambda free: br1_split(nbr, thr, free, stats), r4] + ([r5] if t == 3 else [])
+    branch_and_reduce(masks, thr, rules, prune, leaf, stats, rr3)
+    return best

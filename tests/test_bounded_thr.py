@@ -104,13 +104,16 @@ def _decision_queries(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(_decision_queries())
 def test_stages_two_three_agree_with_oracle(query):
-    # gamma=0 routes every branching-stable free part through stages 2 and 3
+    # gamma=0 routes every branching-stable free part through stages 2 and 3;
+    # the default gamma brute-forces most free parts at stage 1's leaves
     inst, k, l = query
-    got = solve_bounded(inst, k, l, max(1, inst.max_threshold()), gamma=0.0)
-    assert (got is not None) == (oracle_tss_decision(inst, k, l) is not None)
-    if got is not None:
-        assert len(got) <= k
-        assert len(closure(inst, got)) >= l
+    expected = oracle_tss_decision(inst, k, l) is not None
+    for gamma in (0.0, None):
+        got = solve_bounded(inst, k, l, max(1, inst.max_threshold()), gamma=gamma)
+        assert (got is not None) == expected
+        if got is not None:
+            assert len(got) <= k
+            assert len(closure(inst, got)) >= l
 
 
 def test_reduction_rule_metamorphic():
@@ -151,7 +154,7 @@ def test_br1_split_children_in_size_then_lexicographic_order():
     group, children = bounded_thr.br1_split(g.neighbor_sets(), thr,
                                             frozenset({3, 9, 20, 30, 40}))
     assert group == {3, 9, 20, 30}
-    assert [(sorted(sel), sorted(exc)) for sel, exc in children] == [
+    assert [(sorted(sel), sorted(group - sel)) for sel in children] == [
         ([], [3, 9, 20, 30]),
         ([3], [9, 20, 30]), ([9], [3, 20, 30]), ([20], [3, 9, 30]), ([30], [3, 9, 20]),
         ([3, 9], [20, 30]), ([3, 20], [9, 30]), ([3, 30], [9, 20]),

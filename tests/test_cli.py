@@ -263,11 +263,10 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run(["solve", str(bad)]) == 2
     assert run(["nonsense"]) == 2
     assert run([]) == 2
-    # no simple 7-regular graph on 16 vertices turns up within the retry budget,
-    # and 7 is below (n - 1) / 2, so no complement is drawn instead
-    assert run(["gen", "--model", "regular", "--n", "16", "--degree", "7",
+    # no 3-regular graph on 5 vertices exists: n*d is odd
+    assert run(["gen", "--model", "regular", "--n", "5", "--degree", "3",
                 "--thr-model", "const", "--seed", "1"]) == 2
-    assert "7-regular" in capsys.readouterr().err
+    assert "n*d must be even" in capsys.readouterr().err
     # flags that no command reads are not accepted
     k3 = _write(tmp_path, "k3.tss", K3)
     for argv in (["solve", k3, "--jobs", "2"], ["solve", k3, "--seed", "1"],
@@ -318,7 +317,7 @@ def test_python_m_runs_the_cli():
 
     done = cli("solve", "samples/triangle.tss", "--algo", "oracle")
     assert (done.returncode, done.stdout) == (0, "YES size=2 set=1,2\n")
-    done = cli("gen", "--model", "regular", "--n", "16", "--degree", "7",
+    done = cli("gen", "--model", "regular", "--n", "5", "--degree", "3",
                "--thr-model", "const", "--seed", "1")
     assert done.returncode == 2
 

@@ -132,6 +132,12 @@ def test_gen_regular():
     # stub pairing keeps failing this dense; the complement of a 1-regular draw is used
     dense = gen_random("regular", 12, "const", 1, degree=10)
     assert all(dense.graph.degree(v) == 10 for v in range(12))
+    # mid-density draws where every full pairing clashes and 2d <= n - 1:
+    # stubs are then paired one suitable pair at a time (Graph rejects loops and
+    # parallel edges, so the degrees show a simple d-regular graph)
+    for n, d in ((16, 7), (20, 9)):
+        g = gen_random("regular", n, "const", 1, degree=d).graph
+        assert all(g.degree(v) == d for v in range(n))
     with pytest.raises(ValueError):
         gen_random("regular", 5, "const", 0, degree=3)
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tss import (
     Graph,
@@ -16,7 +18,7 @@ from tss import (
 from tss.perfect_small_thr import PART1_GAMMA_THR2, PART1_GAMMA_THR3
 from tss.stats import Stats
 
-from helpers import complete_instance, path_instance, rand_gnp_instance, star_graph
+from helpers import complete_instance, graphs, path_instance, rand_gnp_instance, star_graph
 
 
 def gadget_leaf_ids(n: int, t: int) -> frozenset[int]:
@@ -221,3 +223,21 @@ def test_rule_counters_on_corpus():
         r4_seen = r4_seen or stats.r4_apps > 0
         r5_seen = r5_seen or stats.r5_apps > 0
     assert r4_seen
+
+
+@st.composite
+def _bounded_instances(draw):
+    """A threshold bound t in {2, 3} and an instance with n <= 8 and thresholds <= t."""
+    t = draw(st.sampled_from([2, 3]))
+    g = draw(graphs(8))
+    thr = draw(st.lists(st.integers(0, t), min_size=g.n, max_size=g.n))
+    return t, Instance(g, tuple(thr))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_bounded_instances())
+def test_thr2_thr3_agree_with_oracle(case):
+    t, inst = case
+    got = (solve_perfect_thr2 if t == 2 else solve_perfect_thr3)(inst)
+    assert len(got) == len(oracle_min_perfect_tss(inst))
+    assert is_perfect_target_set(inst, got)

@@ -8,10 +8,11 @@ search code that keeps all three has not changed what any solver explores.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-import tss.bounded_thr as bounded_thr
-import tss.perfect_small_thr as perfect_small_thr
+import tss.activation as activation
 from tss import Instance
 from tss.bounded_thr import solve_bounded
 from tss.degree_ratio import solve_ratio_tss
@@ -34,17 +35,22 @@ def _third_instance(seed: int, p: float = 0.3) -> Instance:
     return Instance(g, tuple(-(-g.degree(v) // 3) for v in range(g.n)))
 
 
-def _counting(monkeypatch, module) -> dict[str, int]:
-    """Count the module's closure_mask and closure calls through its globals."""
+def _counting(monkeypatch) -> dict[str, int]:
+    """Count closure_mask and closure calls through the globals of every loaded
+    tss module that imports them, so a call keeps its count when it moves from
+    one module to another."""
     calls = {"mask": 0, "closure": 0}
-    for name, key in (("closure_mask", "mask"), ("closure", "closure")):
-        original = getattr(module, name)
+    for module in [m for mod_name, m in sys.modules.items() if mod_name.startswith("tss.")]:
+        for name, key in (("closure_mask", "mask"), ("closure", "closure")):
+            original = getattr(activation, name)
+            if module is activation or vars(module).get(name) is not original:
+                continue
 
-        def counted(*args, _original=original, _key=key):
-            calls[_key] += 1
-            return _original(*args)
+            def counted(*args, _original=original, _key=key):
+                calls[_key] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -60,7 +66,7 @@ def _run(case: tuple, monkeypatch):
         else:
             _, model, n, p, seed, k, l = case
             inst, t = gen_random(model, n, "const", seed, p=p, thr_param=2), 2
-        calls = _counting(monkeypatch, bounded_thr)
+        calls = _counting(monkeypatch)
         stats = Stats()
         gamma = None if kind == "bounded" else 0.0
         witness = solve_bounded(inst, k, l, t, gamma=gamma, stats=stats)
@@ -71,7 +77,7 @@ def _run(case: tuple, monkeypatch):
         t = 2 if kind == "thr2" else 3
         flags = {"degree": param} if model == "regular" else {"p": param}
         inst = gen_random(model, n, thr_model, seed, thr_param=t, **flags)
-        calls = _counting(monkeypatch, perfect_small_thr)
+        calls = _counting(monkeypatch)
         stats = Stats()
         solver = solve_perfect_thr2 if t == 2 else solve_perfect_thr3
         witness = solver(inst, stats)
