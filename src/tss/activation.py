@@ -7,6 +7,7 @@ is monotone and reaches its fixpoint within n rounds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -118,6 +119,33 @@ def closure_mask(masks: Sequence[int], thr: Sequence[int], seed_mask: int) -> in
         pending = still
 
 
+def edges_within(masks: Sequence[int], mask: int) -> int:
+    """e(mask): the number of edges with both ends in the vertex mask."""
+    return sum((masks[v] & mask).bit_count() for v in members(mask)) // 2
+
+
+def threshold_prefix(thresholds: Iterable[int]) -> list[int]:
+    """Prefix sums of the sorted thresholds, starting at 0; the table fitting() reads."""
+    return list(accumulate(sorted(thresholds), initial=0))
+
+
+def fitting(prefix: Sequence[int], budget: int) -> int:
+    """F: how many of the smallest thresholds fit in budget (-1 when budget < 0).
+
+    prefix is threshold_prefix() of the thresholds outside a seed's known part
+    S. This is the counting bound of Ackerman, Ben-Zwi and Wolfovitz
+    ("Combinatorial model and bounds for target set selection", TCS 2010):
+    orient each edge from the endpoint that activates first; every activated
+    vertex v outside the seed X then owns thr(v) incoming edges, and an edge
+    inside X serves none, so the thresholds of the activated vertices outside
+    X sum to at most m - e(X).
+    For S within X, at most F(S) = fitting(prefix of V - S, m - e(S)) vertices
+    outside X activate, so a perfect X has at least n - F(S) members and one
+    activating l vertices at least l - F(S). F only shrinks as S grows.
+    """
+    return bisect_right(prefix, budget) - 1
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with bit v set for every v in vertices."""
     m = 0
@@ -135,8 +163,10 @@ def members(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def seed_masks(items: Sequence[int], max_size: int, base: int = 0) -> Iterator[int]:
-    """base | mask_of(sub) for every subset sub of items of at most max_size
+def seed_masks(
+    items: Sequence[int], max_size: int, base: int = 0, min_size: int = 0
+) -> Iterator[int]:
+    """base | mask_of(sub) for every subset sub of items of min_size to max_size
     members, in (size, lexicographic) order; base must share no bit with items.
 
     Each seed is one C-level sum of precomputed single-bit masks, so the
@@ -145,5 +175,5 @@ def seed_masks(items: Sequence[int], max_size: int, base: int = 0) -> Iterator[i
     bits = [1 << v for v in items]
     return chain.from_iterable(
         map(sum, combinations(bits, size), repeat(base))
-        for size in range(min(max_size, len(bits)) + 1)
+        for size in range(max(min_size, 0), min(max_size, len(bits)) + 1)
     )

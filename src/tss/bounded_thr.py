@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from math import comb, log2
 from typing import Callable, Optional, Sequence
 
-from .activation import closure_mask, mask_of, members, seed_masks
+from .activation import (
+    closure_mask, edges_within, fitting, mask_of, members, seed_masks, threshold_prefix,
+)
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .instance import Instance
 from .mpvc import enum_minimal_pvcs
@@ -311,11 +313,27 @@ def solve_bounded(
     nbr = inst.graph.neighbor_sets()
     masks = inst.graph.neighbor_masks()
 
+    def lower(selected: frozenset[int]) -> int:
+        # the counting bound: a set holding selected activates at most its own
+        # size plus fitting() vertices, so it needs this many members to reach l
+        rest = threshold_prefix(thr[v] for v in range(n) if v not in selected)
+        return l - fitting(rest, inst.graph.m - edges_within(masks, mask_of(selected)))
+
+    def prune(selected: frozenset[int], free: frozenset[int], act: int) -> bool:
+        if len(selected) > k:
+            return True
+        if lower(selected) > k:
+            if stats is not None:
+                stats.bound_prunes += 1
+            return True
+        return False
+
     def leaf(selected: frozenset[int], free: frozenset[int], act: int) -> Optional[frozenset[int]]:
         if len(free) <= gamma * n:
             if stats is not None:
                 stats.br2_leaves += 1
-            for seed in seed_masks(sorted(free), k - len(selected), act):
+            low = lower(selected) - len(selected)
+            for seed in seed_masks(sorted(free), k - len(selected), act, low):
                 if closure_mask(masks, thr, seed).bit_count() >= l:
                     return selected | members(seed & ~act)
             return None
@@ -384,4 +402,4 @@ def solve_bounded(
     # BR1 stops where the leaf's brute force takes over
     return branch_and_reduce(
         masks, thr, [lambda free: None if len(free) <= gamma * n else br1_split(nbr, thr, free, stats)],
-        lambda selected, free, act: len(selected) > k, leaf, stats)
+        prune, leaf, stats)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .activation import members
+from .activation import edges_within, fitting, mask_of, members, threshold_prefix
 from .instance import Graph, Instance
 from .stats import Stats
 
@@ -31,7 +31,12 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
     subgraph peels empty under per-vertex bounds deg(v) - thr(v) (peelability
     is hereditary, so unpeelable partial picks prune their whole subtree);
     the answer is the complement. Vertices with thr(v) > deg(v) can never
-    peel and are excluded from the search up front.
+    peel and are excluded from the search up front. The pick is the part of
+    a perfect set's complement found so far, so by the counting bound it can
+    grow only by the remaining candidates whose smallest thresholds fit in
+    m - thr(pick) - e(out), out being the vertices decided out of it; a node
+    whose pick cannot beat the incumbent that way is pruned. The nodes sit on
+    an explicit stack, so no recursion limit caps the depth of the search.
     """
     if d < 0:
         raise ValueError("dual bound must be non-negative")
@@ -40,24 +45,32 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
     if bad:
         raise ValueError(f"dual threshold {duals[bad[0]]} of vertex {bad[0]} exceeds {d}")
     masks = inst.graph.neighbor_masks()
+    thr = inst.thr
+    m = inst.graph.m
     candidates = [v for v in range(inst.n) if duals[v] >= 0]
-    best = [0]
-
-    def rec(i: int, current: int) -> None:
+    # suffix[i]: the threshold prefix table of candidates[i:]
+    suffix = [threshold_prefix(thr[v] for v in candidates[i:]) for i in range(len(candidates) + 1)]
+    out = ((1 << inst.n) - 1) ^ mask_of(candidates)
+    best = 0
+    # a node: next candidate, pick, thr(pick), vertices decided out, e(out)
+    stack = [(0, 0, 0, out, edges_within(masks, out))]
+    while stack:
+        i, pick, pick_thr, out, e_out = stack.pop()
         if stats is not None:
             stats.dual_nodes += 1
-        if current.bit_count() + (len(candidates) - i) <= best[0].bit_count():
-            return
+        if pick.bit_count() + fitting(suffix[i], m - pick_thr - e_out) <= best.bit_count():
+            if stats is not None:
+                stats.bound_prunes += 1
+            continue
         if i == len(candidates):
-            best[0] = current
-            return
-        pick = current | 1 << candidates[i]
-        if _peels_empty(masks, pick, duals):
-            rec(i + 1, pick)
-        rec(i + 1, current)
-
-    rec(0, 0)
-    return frozenset(range(inst.n)) - members(best[0])
+            best = pick
+            continue
+        v = candidates[i]
+        # the child leaving v out runs second, so it goes below the one picking v
+        stack.append((i + 1, pick, pick_thr, out | 1 << v, e_out + (masks[v] & out).bit_count()))
+        if _peels_empty(masks, pick | 1 << v, duals):
+            stack.append((i + 1, pick | 1 << v, pick_thr + thr[v], out, e_out))
+    return frozenset(range(inst.n)) - members(best)
 
 
 def _peels_empty(masks: Sequence[int], remaining: int, bound: Sequence[int]) -> bool:

@@ -10,7 +10,9 @@ and original vertices behave exactly as before; minima shift by exactly t*t.
 On the equalized instance a two-part search runs: part 1 brute-forces small
 candidate sets in ascending size, part 2 is bounded_thr.branch_and_reduce
 with degree-based reduction and branching rules, finishing each stable branch
-by exhausting the free part.
+by exhausting the free part. The counting bound (activation.fitting) sets the
+first size of each brute force and prunes part 2's nodes that cannot beat the
+incumbent.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from __future__ import annotations
 from math import floor
 from typing import Optional
 
-from .activation import closure_mask, is_perfect_target_set, mask_of, members, seed_masks
+from .activation import (
+    closure_mask, edges_within, fitting, is_perfect_target_set, mask_of, members, seed_masks,
+    threshold_prefix,
+)
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .bounded_thr import Split, br1_split, branch_and_reduce
 from .instance import Graph, Instance
@@ -98,13 +103,22 @@ def _min_perfect_equal(
         v for v in range(n_orig, n) if (v - n_orig) % (t + 1) != 0
     )
     full_mask = (1 << n) - 1
+    m = eq.graph.m
+    prefix = threshold_prefix(thr)
 
-    # Part 1: ascending brute force up to part1_max. Star leaves (one neighbor,
-    # threshold t >= 2) sit in every perfect target set; what they activate seeds
-    # every candidate, and a minimum set holds none of it, so the rest is enumerated.
+    def lower(selected: frozenset[int]) -> int:
+        # the counting bound; every threshold is t, so the table of all n serves
+        # once F is capped at the n - |selected| vertices outside selected
+        budget = m - edges_within(masks, mask_of(selected))
+        return n - min(fitting(prefix, budget), n - len(selected))
+
+    # Part 1: ascending brute force from the counting bound up to part1_max. Star
+    # leaves (one neighbor, threshold t >= 2) sit in every perfect target set; what
+    # they activate seeds every candidate, and a minimum set holds none of it, so
+    # the rest is enumerated.
     forced = closure_mask(masks, thr, mask_of(leaves))
     others = [v for v in range(n) if not (forced >> v) & 1]
-    for seed in seed_masks(others, part1_max - t * t, forced):
+    for seed in seed_masks(others, part1_max - t * t, forced, lower(leaves) - t * t):
         if closure_mask(masks, thr, seed) == full_mask:
             if stats is not None:
                 stats.part1_found = True
@@ -122,8 +136,11 @@ def _min_perfect_equal(
         return low
 
     def prune(selected: frozenset[int], free: frozenset[int], act: int) -> bool:
-        return (len(selected) >= len(best)
-                or closure_mask(masks, thr, act | mask_of(free)) != full_mask)
+        if lower(selected) >= len(best):
+            if stats is not None:
+                stats.bound_prunes += 1
+            return True
+        return closure_mask(masks, thr, act | mask_of(free)) != full_mask
 
     def r4(free: frozenset[int]) -> Split:
         for u, v in eq.graph.edges():
@@ -156,7 +173,8 @@ def _min_perfect_equal(
             assert closure_mask(masks, thr, act | (full_mask & ~mask_of(free))) == full_mask
         if stats is not None:
             stats.leaf_bruteforces += 1
-        for seed in seed_masks(sorted(free), len(best) - len(selected) - 1, act):
+        low = lower(selected) - len(selected)
+        for seed in seed_masks(sorted(free), len(best) - len(selected) - 1, act, low):
             if closure_mask(masks, thr, seed) == full_mask:
                 best = selected | members(seed & ~act)
                 return

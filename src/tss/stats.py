@@ -15,6 +15,7 @@ class Stats:
 
     # branch-and-reduce, shared by bounded (stage 1) and thr2/thr3 (part 2)
     rr1_moves: int = 0
+    bound_prunes: int = 0  # nodes cut by the counting bound, in dual too
     br1_apps: int = 0
     br1_children: list[tuple[int, int]] = field(default_factory=list)  # (threshold, children)
     # bounded: stage-1 brute-force leaves, stage 2, stage-3 DP

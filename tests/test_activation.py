@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tss import Graph, Instance, activate, closure, is_perfect_target_set
-from tss.activation import closure_mask
+from tss import (
+    Graph, Instance, activate, closure, is_perfect_target_set, oracle_min_perfect_tss,
+    oracle_tss_decision,
+)
+from tss.activation import (
+    closure_mask, edges_within, fitting, mask_of, seed_masks, threshold_prefix,
+)
 
 from helpers import complete_instance, graphs, naive_rounds, path_instance, rand_gnp_instance
 
@@ -133,3 +138,54 @@ def test_closure_mask_seeded_from_closure(g, data):
     assert closure_mask(masks, thr, closure_mask(masks, thr, a) | b) == closure_mask(
         masks, thr, a | b
     )
+
+
+def _fit(inst: Instance, selected: frozenset[int]) -> int:
+    """F(selected): how many vertices outside a seed holding selected can activate."""
+    rest = threshold_prefix(inst.thr[v] for v in range(inst.n) if v not in selected)
+    masks = inst.graph.neighbor_masks()
+    return fitting(rest, inst.graph.m - edges_within(masks, mask_of(selected)))
+
+
+def test_edges_within_and_fitting():
+    inst = path_instance((1, 2, 2, 1))
+    masks = inst.graph.neighbor_masks()
+    assert [edges_within(masks, mask) for mask in (0, 0b0011, 0b0101, 0b1111)] == [0, 1, 0, 3]
+    prefix = threshold_prefix((2, 1, 2))
+    assert prefix == [0, 1, 3, 5]
+    assert [fitting(prefix, budget) for budget in (-1, 0, 1, 2, 4, 5, 9)] == [-1, 0, 1, 1, 2, 3, 3]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs(10), st.data())
+def test_counting_bound_never_exceeds_the_perfect_minimum(g, data):
+    thr = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    inst = Instance(g, tuple(thr))
+    best = oracle_min_perfect_tss(inst)
+    assert g.n - _fit(inst, frozenset()) <= len(best)
+    # a known part of the minimum only tightens the bound, never past it
+    part = frozenset(v for v in best if data.draw(st.booleans()))
+    assert g.n - _fit(inst, frozenset()) <= g.n - _fit(inst, part) <= len(best)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs(10), st.data())
+def test_counting_bound_never_exceeds_a_decision_witness(g, data):
+    thr = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    inst = Instance(g, tuple(thr))
+    l = data.draw(st.integers(0, g.n))
+    witness = oracle_tss_decision(inst, g.n, l)
+    assert witness is not None  # the whole vertex set activates every vertex
+    assert l - _fit(inst, frozenset()) <= len(witness)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.integers(0, 9), max_size=7, unique=True), st.integers(-1, 8),
+       st.integers(-1, 8), st.data())
+def test_seed_masks_from_a_minimum_size(items, hi, lo, data):
+    outside = [v for v in range(10, 13) if data.draw(st.booleans())]
+    base = mask_of(outside)
+    everything = list(seed_masks(items, hi, base))
+    assert list(seed_masks(items, hi, base, lo)) == [
+        seed for seed in everything if (seed ^ base).bit_count() >= lo
+    ]

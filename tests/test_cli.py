@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tss import gen_random, parse_instance, write_instance
+from tss import cli, gen_random, is_perfect_target_set, parse_instance, write_instance
 from tss.cli import _build_parser, run
 from tss.stats import Stats
 
@@ -275,11 +275,26 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert run(argv) == 2
 
 
-def test_deep_search_exits_2_with_diagnostic(tmp_path, capsys):
-    # dual's branch-and-bound nests once per vertex, so a 1,100-vertex path
-    # with thr = deg (dual 0) passes the default recursion limit of 1,000
+def test_dual_answers_a_deep_path(tmp_path, capsys):
+    # dual's branch-and-bound keeps its nodes on a stack, so a 1,100-vertex path
+    # with thr = deg (dual 0), far deeper than the default recursion limit of
+    # 1,000, is answered: the minimum seed takes every second vertex
     n = 1100
-    path = _write(tmp_path, "path.tss", write_instance(path_instance((1,) + (2,) * (n - 2) + (1,))))
+    inst = path_instance((1,) + (2,) * (n - 2) + (1,))
+    path = _write(tmp_path, "path.tss", write_instance(inst))
+    assert run(["perfect", path, "--algo", "dual", "--json"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert len(witness) == n // 2
+    assert is_perfect_target_set(inst, [v - 1 for v in witness])
+
+
+def test_deep_search_exits_2_with_diagnostic(tmp_path, capsys, monkeypatch):
+    # a search that passes the recursion limit ends with a diagnostic, not a traceback
+    def too_deep(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(cli, "solve_dual_perfect", too_deep)
+    path = _write(tmp_path, "k3.tss", K3)
     assert run(["perfect", path, "--algo", "dual"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "recursion limit" in err

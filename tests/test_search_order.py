@@ -100,24 +100,24 @@ def _sorted(witness):
 # The last field of each bounded/thr2/thr3 entry, set-based closure calls,
 # is 0 throughout: the solvers' inner loops run on closure_mask alone.
 EXPECTED: dict[tuple, object] = {
-    ("bounded", "gnp", 12, 0.35, 0, 4, 12): ([1, 2, 8, 10], (0, 1, 5, 1, 0, 0, 0, 0, 0, 149, 0)),
-    ("bounded", "gnp", 12, 0.35, 0, 3, 12): (None, (1, 1, 5, 5, 0, 0, 0, 0, 0, 283, 0)),
+    ("bounded", "gnp", 12, 0.35, 0, 4, 12): ([1, 2, 8, 10], (0, 1, 5, 1, 0, 0, 0, 0, 0, 19, 0)),
+    ("bounded", "gnp", 12, 0.35, 0, 3, 12): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("bounded", "gnp", 12, 0.35, 0, 2, 8): (None, (1, 1, 5, 5, 0, 0, 0, 0, 0, 83, 0)),
-    ("bounded", "gnp", 12, 0.35, 1, 2, 12): ([5, 6], (0, 1, 5, 1, 0, 0, 0, 0, 0, 28, 0)),
-    ("bounded", "gnp", 12, 0.35, 1, 1, 12): (None, (7, 1, 5, 4, 0, 0, 0, 0, 0, 19, 0)),
+    ("bounded", "gnp", 12, 0.35, 1, 2, 12): ([5, 6], (0, 1, 5, 1, 0, 0, 0, 0, 0, 27, 0)),
+    ("bounded", "gnp", 12, 0.35, 1, 1, 12): (None, (7, 1, 5, 4, 0, 0, 0, 0, 0, 18, 0)),
     ("bounded", "gnp", 12, 0.35, 1, 2, 8): ([2, 3], (0, 1, 5, 1, 0, 0, 0, 0, 0, 13, 0)),
-    ("bounded", "gnp", 12, 0.35, 2, 4, 12): ([0, 6, 7, 9], (0, 1, 5, 1, 0, 0, 0, 0, 0, 170, 0)),
-    ("bounded", "gnp", 12, 0.35, 2, 3, 12): (None, (4, 1, 5, 5, 0, 0, 0, 0, 0, 280, 0)),
+    ("bounded", "gnp", 12, 0.35, 2, 4, 12): ([0, 6, 7, 9], (0, 1, 5, 1, 0, 0, 0, 0, 0, 124, 0)),
+    ("bounded", "gnp", 12, 0.35, 2, 3, 12): (None, (4, 1, 5, 5, 0, 0, 0, 0, 0, 203, 0)),
     ("bounded", "gnp", 12, 0.35, 2, 2, 8): (None, (4, 1, 5, 5, 0, 0, 0, 0, 0, 83, 0)),
-    ("bounded", "gnp", 12, 0.35, 3, 4, 12): ([2, 4, 5, 8], (0, 1, 5, 1, 0, 0, 0, 0, 0, 155, 0)),
-    ("bounded", "gnp", 12, 0.35, 3, 3, 12): (None, (0, 1, 5, 5, 0, 0, 0, 0, 0, 284, 0)),
+    ("bounded", "gnp", 12, 0.35, 3, 4, 12): ([2, 4, 5, 8], (0, 1, 5, 1, 0, 0, 0, 0, 0, 25, 0)),
+    ("bounded", "gnp", 12, 0.35, 3, 3, 12): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("bounded", "gnp", 12, 0.35, 3, 2, 8): (None, (0, 1, 5, 5, 0, 0, 0, 0, 0, 83, 0)),
     ("gamma0", "gnp", 7, 0.45, 0, 4, 7): ([0, 1, 2, 5], (0, 1, 5, 0, 5, 72, 0, 28, 322, 3, 0)),
-    ("gamma0", "gnp", 7, 0.45, 0, 3, 7): (None, (0, 1, 5, 0, 15, 123, 0, 55, 652, 6, 0)),
+    ("gamma0", "gnp", 7, 0.45, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0", "gnp", 7, 0.45, 1, 2, 7): ([4, 6], (1, 2, 10, 1, 4, 111, 0, 16, 36, 8, 0)),
-    ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (17, 5, 25, 0, 7, 180, 0, 24, 55, 26, 0)),
+    ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0", "gnp", 7, 0.45, 2, 3, 7): ([1, 3, 5], (0, 1, 5, 0, 1, 27, 0, 17, 249, 2, 0)),
-    ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (3, 1, 5, 0, 37, 318, 6, 188, 1652, 6, 0)),
+    ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     # Shaped like the decision benchmark's gamma0 families: (kind, n, degree,
     # threshold, seed, k, l) on regular draws, with k = opt and opt - 1.
     ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 2, 108, 0, 32, 66, 4, 0)),
@@ -125,39 +125,39 @@ EXPECTED: dict[tuple, object] = {
     ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 2, 84, 0, 24, 50, 4, 0)),
     ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 7, 270, 0, 80, 167, 26, 0)),
     ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 6, 412, 2, 177, 904, 3, 0)),
-    ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (3, 1, 12, 0, 55, 1236, 20, 575, 2938, 13, 0)),
+    ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 9, 352, 0, 112, 595, 3, 0)),
-    ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 1, 12, 0, 77, 1152, 8, 412, 2043, 13, 0)),
+    ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0-reg", 7, 2, 2, 0, 4, 7):
         ([0, 3, 4, 6], (0, 3, 15, 0, 10, 183, 0, 32, 74, 13, 0)),
-    ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (4, 6, 30, 3, 21, 324, 0, 60, 141, 34, 0)),
+    ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0-reg", 7, 2, 2, 1, 4, 7):
         ([0, 2, 3, 4], (0, 3, 15, 0, 10, 207, 0, 32, 74, 13, 0)),
-    ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (4, 6, 30, 3, 21, 348, 0, 60, 141, 34, 0)),
+    ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 0): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 1): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "regular", 10, "const", 2, 0):
-        ([0, 5, 6, 7, 8], (2, 4, 3, 15, 7, 21, 0, 0, 5, 0, 2, 82, 0)),
+        ([0, 5, 6, 7, 8], (2, 4, 2, 10, 4, 12, 0, 0, 5, 0, 2, 45, 0)),
     ("thr2", "regular", 10, "const", 2, 1):
-        ([0, 1, 5, 7, 9], (6, 4, 6, 30, 0, 0, 0, 0, 5, 0, 2, 74, 0)),
+        ([0, 1, 5, 7, 9], (4, 4, 3, 15, 0, 0, 0, 0, 5, 0, 1, 33, 0)),
     ("thr2", "gnp", 10, "const", 0.4, 0):
-        ([2, 3, 4, 5, 9], (12, 6, 6, 30, 0, 0, 0, 0, 5, 0, 2, 73, 0)),
+        ([2, 3, 4, 5, 9], (12, 6, 6, 30, 0, 0, 0, 0, 5, 0, 2, 60, 0)),
     ("thr2", "gnp", 10, "const", 0.4, 1): ([6, 8], (23, 5, 3, 15, 0, 0, 0, 0, 5, 0, 1, 36, 0)),
-    ("thr2", "gnp", 10, "const", 0.4, 2): ([3, 5], (31, 4, 12, 60, 0, 0, 0, 0, 5, 0, 3, 108, 0)),
+    ("thr2", "gnp", 10, "const", 0.4, 2): ([3, 5], (14, 4, 5, 25, 0, 0, 0, 0, 5, 0, 3, 50, 0)),
     ("thr3", "gnp", 10, "const", 0.3, 1):
-        ([2, 6, 7, 8, 9], (68, 10, 11, 132, 0, 0, 2, 14, 9, 0, 13, 261, 0)),
+        ([2, 6, 7, 8, 9], (68, 10, 11, 132, 0, 0, 2, 14, 9, 0, 12, 239, 0)),
     ("thr3", "gnp", 10, "const", 0.3, 39):
-        ([2, 4, 6, 7, 8, 9], (3, 12, 1, 12, 0, 0, 11, 77, 9, 0, 1, 125, 0)),
+        ([2, 4, 6, 7, 8, 9], (3, 12, 1, 12, 0, 0, 10, 70, 9, 0, 1, 115, 0)),
     ("thr3", "gnp", 10, "uniform", 0.3, 34):
-        ([0, 1, 3, 5, 8], (4, 11, 1, 12, 0, 0, 5, 35, 9, 0, 1, 65, 0)),
+        ([0, 1, 3, 5, 8], (4, 11, 1, 12, 0, 0, 5, 35, 9, 0, 1, 64, 0)),
     ("thr3", "regular", 10, "const", 3, 0):
-        ([0, 1, 3, 5, 6, 7], (3, 9, 4, 48, 6, 18, 0, 0, 9, 0, 1, 122, 0)),
+        ([0, 1, 3, 5, 6, 7], (3, 9, 2, 24, 1, 3, 0, 0, 9, 0, 1, 53, 0)),
     ("thr3", "gnp", 12, "uniform", 0.5, 2): ([7], (0, 0, 0, 0, 0, 0, 0, 0, 10, 1, 0, 3, 0)),
     ("thr3", "gnp", 9, "const", 0.4, 1):
-        ([0, 1, 4, 8], (3, 10, 11, 132, 0, 0, 0, 0, 9, 0, 1, 178, 0)),
+        ([0, 1, 4, 8], (3, 10, 2, 24, 0, 0, 0, 0, 9, 0, 1, 39, 0)),
     ("dual", 10, 1, 0): ([8], 20),
-    ("dual", 10, 1, 1): ([4, 6, 9], 115),
-    ("dual", 10, 1, 2): ([4, 6, 8], 105),
+    ("dual", 10, 1, 1): ([4, 6, 9], 25),
+    ("dual", 10, 1, 2): ([4, 6, 8], 52),
     ("dual", 12, 2, 0): ([], 25),
     ("dual", 12, 2, 1): ([4], 55),
     ("third", 0, 1, 14): [4],
@@ -172,13 +172,13 @@ EXPECTED: dict[tuple, object] = {
     # thr3 draws where R5 fires on a trio whose middle vertex is not the
     # median id, so the witness or the counters depend on R5's child order.
     ("thr3", "gnp", 10, "const", 0.3, 3):
-        ([0, 2, 3, 4, 6, 8, 9], (4, 15, 0, 0, 0, 0, 1, 7, 9, 0, 1, 14, 0)),
+        ([0, 2, 3, 4, 6, 8, 9], (4, 15, 0, 0, 0, 0, 1, 7, 9, 0, 1, 13, 0)),
     ("thr3", "gnp", 10, "uniform", 0.3, 22):
-        ([0, 1, 4, 8, 9], (6, 13, 0, 0, 0, 0, 1, 7, 9, 0, 1, 14, 0)),
+        ([0, 1, 4, 8, 9], (6, 13, 0, 0, 0, 0, 1, 7, 9, 0, 1, 13, 0)),
     ("thr3", "gnp", 11, "const", 0.3, 35):
-        ([0, 1, 4, 5, 7, 8, 9], (10, 15, 0, 0, 0, 0, 1, 7, 10, 0, 2, 28, 0)),
+        ([0, 1, 4, 5, 7, 8, 9], (10, 15, 0, 0, 0, 0, 1, 7, 10, 0, 2, 16, 0)),
     ("thr3", "gnp", 9, "const", 0.4, 25):
-        ([0, 2, 3, 5, 6], (3, 11, 1, 12, 0, 0, 7, 49, 9, 0, 1, 85, 0)),
+        ([0, 2, 3, 5, 6], (3, 11, 1, 12, 0, 0, 1, 7, 9, 0, 1, 30, 0)),
     # Sparse third draws (p = 0.12) with two-vertex and isolated components,
     # where the witness takes a vertex of a two-vertex component.
     ("third", 28, 4, 14, 0.12): [0, 2, 4, 7],
@@ -197,3 +197,24 @@ EXPECTED: dict[tuple, object] = {
 @pytest.mark.parametrize("case", list(EXPECTED), ids=lambda c: "-".join(map(str, c)))
 def test_search_order_pinned(case, monkeypatch):
     assert _run(case, monkeypatch) == EXPECTED[case]
+
+
+# Nodes cut by the counting bound. The bounded case is a NO query that the
+# bound answers at the root, before any branching.
+BOUND_PRUNES = {
+    ("dual", 10, 1, 1): 8,
+    ("dual", 10, 1, 2): 21,
+    ("bounded", "gnp", 12, 0.35, 0, 3, 12): 1,
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND_PRUNES), ids=lambda c: "-".join(map(str, c)))
+def test_bound_prunes_pinned(case):
+    stats = Stats()
+    if case[0] == "dual":
+        _, n, d, seed = case
+        solve_dual_perfect(gen_random("gnp", n, "dual", seed, p=0.4, thr_param=d), d, stats)
+    else:
+        _, model, n, p, seed, k, l = case
+        solve_bounded(gen_random(model, n, "const", seed, p=p, thr_param=2), k, l, 2, stats=stats)
+    assert stats.bound_prunes == BOUND_PRUNES[case]
