@@ -11,11 +11,15 @@ the hidden part of the selection: it enumerates minimal partial vertex covers
 of the free part (the hidden selection covers the same free-free edges as one
 of them) and replays activation rounds over a projected set, forking on demand
 whenever the round outcome of an excluded vertex depends on undecided facts
-about the hidden selection.
+about the hidden selection. A branch's facts live in one record, _Ctx: the
+cover, the promised quota of hidden selected neighbors per excluded vertex,
+and the free vertices known inside (the cover among them) and outside the
+hidden selection.
 
-Stage 3 closes each fully-decided branch with a dynamic program over the
-remaining undecided vertices, minimizing the selection size subject to the
-activation target and the counts promised during stage 2.
+Stage 3, stage3_dp(inst, state, ctx, projected, k, l), closes each
+fully-decided branch with a dynamic program over the free vertices the record
+leaves undecided, minimizing the selection size subject to the activation
+target and the record's quotas.
 """
 
 from __future__ import annotations
@@ -58,29 +62,6 @@ class SearchState:
         assert not (self.selected & self.excluded)
         assert not (self.selected & self.free)
         assert not (self.excluded & self.free)
-
-
-@dataclass
-class BranchLeaf:
-    """A fully-decided stage-2 branch, ready for the closing dynamic program.
-
-    cover: minimal partial vertex cover of the free part, known inside the
-        hidden selection and covering exactly its free-free edges.
-    quota: per excluded vertex, the promised value of
-        min(number of its hidden selected neighbors, its threshold);
-        only vertices whose value was actually branched on appear.
-    membership: individual in/out decisions for free vertices.
-    projected: fixpoint of the projected activation rounds; it matches the
-        true activated set outside the hidden selection for every selection
-        consistent with (cover, quota, membership).
-    """
-
-    inst: Instance
-    state: SearchState
-    cover: frozenset[int]
-    quota: dict[int, int]
-    membership: dict[int, bool]
-    projected: frozenset[int]
 
 
 Split = Optional[tuple[frozenset[int], list[frozenset[int]]]]
@@ -158,29 +139,31 @@ def branch_and_reduce(
 
 
 class _Ctx:
-    """Accumulated stage-2 decisions; cover members count as selected."""
+    """The decisions of one stage-2 branch about the hidden part B of the selection.
 
-    __slots__ = ("cover", "quota", "member")
+    cover: minimal partial vertex cover of the free part; B holds it and
+        covers exactly its free-free edges.
+    quota: per excluded vertex, the promised min(|N(v) & B|, thr(v)); only
+        vertices whose value was branched on appear.
+    inside: the cover plus the free vertices decided into B.
+    outside: the free vertices decided out of B.
+    """
+
+    __slots__ = ("cover", "quota", "inside", "outside")
 
     def __init__(self, cover: frozenset[int], quota: Optional[dict[int, int]] = None,
-                 member: Optional[dict[int, bool]] = None):
+                 inside: Optional[frozenset[int]] = None, outside: frozenset[int] = frozenset()):
         self.cover = cover
         self.quota = quota if quota is not None else {}
-        self.member = member if member is not None else {}
-
-    def membership_of(self, u: int) -> Optional[bool]:
-        if u in self.cover:
-            return True
-        return self.member.get(u)
+        self.inside = inside if inside is not None else cover
+        self.outside = outside
 
     def feasible_quotas(self, nbr_v: frozenset[int], thr_v: int, free: frozenset[int]) -> range:
-        """Quota values some consistent hidden selection meets: it holds the cover and
-        the members set true, and lies in free minus the members set false. Later
-        decisions only narrow this window, so stage 3 rejects every value outside it."""
-        known_in = self.cover.union(u for u, b in self.member.items() if b)
-        known_out = frozenset(u for u, b in self.member.items() if not b)
-        return range(min(thr_v, len(nbr_v & known_in)),
-                     min(thr_v, len(nbr_v & (free - known_out))) + 1)
+        """Quota values some consistent hidden selection meets: it holds inside and
+        lies in free minus outside. Later decisions only narrow this window, so
+        stage 3 rejects every value outside it."""
+        return range(min(thr_v, len(nbr_v & self.inside)),
+                     min(thr_v, len(nbr_v & (free - self.outside))) + 1)
 
 
 def is_activated_round(
@@ -211,40 +194,32 @@ def is_activated_round(
         return ("quota", v)
     m += q
     for u in sorted(in_proj & state.free):
-        member = ctx.membership_of(u)
-        if member is None:
-            return ("member", u)
-        if not member:
+        if u in ctx.outside:
             m += 1
+        elif u not in ctx.inside:
+            return ("member", u)
     return m >= thr_v
 
 
-def stage3_dp(leaf: BranchLeaf, k: int, l: int,
-              stats: Optional[Stats] = None) -> Optional[frozenset[int]]:
-    """Smallest completion of the leaf's known selection meeting the activation target.
+def stage3_dp(inst: Instance, state: SearchState, ctx: _Ctx, projected: frozenset[int],
+              k: int, l: int, stats: Optional[Stats] = None) -> Optional[frozenset[int]]:
+    """Smallest completion of a fully-decided stage-2 branch meeting the activation target.
 
-    Returns the extra picks among the still-undecided vertices, or None when no
-    completion satisfies the target, the promised counts, and the budget k.
-    The known part of the selection is leaf.state.selected plus the cover plus
-    the membership-true vertices; the caller composes the full target set.
+    projected is the fixpoint of the branch's projected rounds. Returns the
+    extra picks among the free vertices ctx leaves undecided, or None when no
+    completion satisfies the target, the promised quotas, and the budget k. The
+    known part of the selection is state.selected plus ctx.inside; the caller
+    composes the full target set.
     """
-    inst = leaf.inst
-    state = leaf.state
-    known_in = state.selected | leaf.cover | frozenset(
-        u for u, b in leaf.membership.items() if b
-    )
-    known_out = state.excluded | frozenset(u for u, b in leaf.membership.items() if not b)
-    rest = sorted(set(range(inst.n)) - known_in - known_out)
-    hidden_known = known_in - state.selected
-    constrained = sorted(leaf.quota)
-    caps = tuple(leaf.quota[v] for v in constrained)
+    rest = sorted(state.free - ctx.inside - ctx.outside)
+    constrained = sorted(ctx.quota)
+    caps = tuple(ctx.quota[v] for v in constrained)
     nbr = inst.graph.neighbor_sets()
     d_start = tuple(
-        min(len(nbr[v] & hidden_known), inst.thr[v]) for v in constrained
+        min(len(nbr[v] & ctx.inside), inst.thr[v]) for v in constrained
     )
-    proj = leaf.projected
-    outside_score = len(proj - set(rest))
-    in_proj = [u in proj for u in rest]
+    outside_score = len(projected - set(rest))
+    in_proj = [u in projected for u in rest]
     memo: dict[tuple, Optional[frozenset[int]]] = {}
 
     def rec(i: int, p: int, d: tuple[int, ...]) -> Optional[frozenset[int]]:
@@ -278,7 +253,7 @@ def stage3_dp(leaf: BranchLeaf, k: int, l: int,
         return result
 
     picks = rec(0, 0, d_start)
-    if picks is None or len(known_in) + len(picks) > k:
+    if picks is None or len(state.selected) + len(ctx.inside) + len(picks) > k:
         return None
     return picks
 
@@ -374,13 +349,13 @@ def solve_bounded(
                 if kind == "quota":
                     if stats is not None:
                         stats.quota_branches.append((thr[u], thr[u] + 1))
-                    children = (_Ctx(ctx.cover, {**ctx.quota, u: c}, ctx.member)
+                    children = (_Ctx(ctx.cover, {**ctx.quota, u: c}, ctx.inside, ctx.outside)
                                 for c in ctx.feasible_quotas(nbr[u], thr[u], state.free))
                 else:
                     if stats is not None:
                         stats.member_branches += 1
-                    children = (_Ctx(ctx.cover, ctx.quota, {**ctx.member, u: c})
-                                for c in (False, True))
+                    children = (_Ctx(ctx.cover, ctx.quota, ctx.inside, ctx.outside | {u}),
+                                _Ctx(ctx.cover, ctx.quota, ctx.inside | {u}, ctx.outside))
                 for child in children:
                     res = _explore(state, child, projected, outside, j, newly[:])
                     if res is not None:
@@ -393,11 +368,8 @@ def solve_bounded(
             i, newly = 0, []
         if stats is not None:
             stats.stage2_leaves += 1
-        picks = stage3_dp(BranchLeaf(inst, state, ctx.cover, ctx.quota, ctx.member, projected),
-                          k, l, stats)
-        if picks is None:
-            return None
-        return state.selected | ctx.cover | frozenset(u for u, b in ctx.member.items() if b) | picks
+        picks = stage3_dp(inst, state, ctx, projected, k, l, stats)
+        return None if picks is None else state.selected | ctx.inside | picks
 
     # BR1 stops where the leaf's brute force takes over
     return branch_and_reduce(

@@ -193,9 +193,11 @@ def _load(path: str, force: bool) -> Instance:
         return parse_instance(fh.read(), force=force)
 
 
-def _query_of(inst: Instance, args) -> tuple[int, int]:
-    k = args.k if args.k is not None else (inst.query[0] if inst.query else None)
-    l = args.l if args.l is not None else (inst.query[1] if inst.query else None)
+def _query_of(inst: Instance, args, fallback: tuple = (None, None)) -> tuple[int, int]:
+    """(k, l) from the flags, else the file's query, else fallback."""
+    file_k, file_l = inst.query or fallback
+    k = args.k if args.k is not None else file_k
+    l = args.l if args.l is not None else file_l
     if k is None or l is None:
         raise ValueError("no query: supply 'q k l' in the file or --k/--l flags")
     if k < 0 or l < 0:
@@ -380,8 +382,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _load(args.file, args.force)
     chosen = _parse_ids(args.x, inst.n)
-    k = args.k if args.k is not None else (inst.query[0] if inst.query else len(chosen))
-    l = args.l if args.l is not None else (inst.query[1] if inst.query else inst.n)
+    k, l = _query_of(inst, args, (len(chosen), inst.n))
     activated = len(closure(inst, chosen))
     ok = len(chosen) <= k and activated >= l
     verdict = "VALID" if ok else "INVALID"
@@ -403,14 +404,12 @@ def _cmd_bench(args) -> int:
         for path in args.files
         for algo in algos
     ]
-    print(BENCH_HEADER)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_row, tasks))
     else:
         rows = [_bench_row(task) for task in tasks]
-    for row in rows:
-        print(row)
+    print("\n".join([BENCH_HEADER, *rows]))
     return 0
 
 

@@ -236,9 +236,9 @@ def parse_instance(text: str, force: bool = False) -> Instance:
 
     if n < 0:
         raise InstanceFormatError("missing 'p tss <n> <m>' header")
-    missing = [v + 1 for v in range(n) if v not in thr]
-    if missing:
-        raise InstanceFormatError(f"missing threshold for vertex {missing[0]}")
+    if len(thr) != n:
+        missing = next(v for v in range(n) if v not in thr)
+        raise InstanceFormatError(f"missing threshold for vertex {missing + 1}")
     if len(edges) != m:
         raise InstanceFormatError(f"header declares {m} edges, found {len(edges)}")
     graph = Graph(n, edges)

@@ -18,7 +18,6 @@ from tss import (
     stage3_dp,
 )
 from tss.bounded_thr import (
-    BranchLeaf,
     SearchState,
     _Ctx,
     is_activated_round,
@@ -220,10 +219,10 @@ def test_round_procedure_membership_branch():
     ctx = _Ctx(frozenset(), {0: 1})
     assert is_activated_round(inst, state, projected, 0, ctx) == ("member", 2)
     assert is_activated_round(
-        inst, state, projected, 0, _Ctx(frozenset(), {0: 1}, {2: False})
+        inst, state, projected, 0, _Ctx(frozenset(), {0: 1}, outside=frozenset({2}))
     ) is True
     assert is_activated_round(
-        inst, state, projected, 0, _Ctx(frozenset(), {0: 1}, {2: True})
+        inst, state, projected, 0, _Ctx(frozenset(), {0: 1}, inside=frozenset({2}))
     ) is False
 
 
@@ -249,35 +248,32 @@ def test_round_replay_resumes_at_each_decision(monkeypatch):
 def test_dp_base_row_immediately_feasible():
     inst = Instance(Graph(2, [(0, 1)]), (0, 5))
     state = SearchState(frozenset({0}), frozenset(), frozenset({1}))
-    leaf = BranchLeaf(inst, state, frozenset(), {}, {}, frozenset({0}))
-    assert stage3_dp(leaf, 2, 1) == frozenset()
+    assert stage3_dp(inst, state, _Ctx(frozenset()), frozenset({0}), 2, 1) == frozenset()
 
 
 def test_dp_forced_pick_meets_promise():
     # excluded vertex 0 promised one hidden neighbor; vertex 1 is its only candidate
     inst = Instance(Graph(3, [(0, 1)]), (1, 5, 0))
     state = SearchState(frozenset({2}), frozenset({0}), frozenset({1}))
-    leaf = BranchLeaf(inst, state, frozenset(), {0: 1}, {}, frozenset({0, 2}))
-    assert stage3_dp(leaf, 3, 2) == frozenset({1})
+    assert stage3_dp(inst, state, _Ctx(frozenset(), {0: 1}), frozenset({0, 2}), 3, 2) == {1}
 
 
 def test_dp_infeasible_promise():
     inst = Instance(Graph(3, [(0, 1)]), (2, 5, 0))
     state = SearchState(frozenset({2}), frozenset({0}), frozenset({1}))
-    leaf = BranchLeaf(inst, state, frozenset(), {0: 2}, {}, frozenset({2}))
-    assert stage3_dp(leaf, 3, 0) is None
+    assert stage3_dp(inst, state, _Ctx(frozenset(), {0: 2}), frozenset({2}), 3, 0) is None
 
 
 def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch):
     # for every explored leaf and every selection consistent with its record,
     # the projected set and the true activated set agree off the selection;
     # stage 3 runs once per leaf, so wrapping it collects every leaf
-    leaves: list[BranchLeaf] = []
+    leaves: list[tuple[SearchState, _Ctx, frozenset[int]]] = []
     original = bounded_thr.stage3_dp
 
-    def recording(leaf, *args):
-        leaves.append(leaf)
-        return original(leaf, *args)
+    def recording(inst, state, ctx, projected, *args):
+        leaves.append((state, ctx, projected))
+        return original(inst, state, ctx, projected, *args)
 
     monkeypatch.setattr(bounded_thr, "stage3_dp", recording)
     rng = random.Random(909)
@@ -289,26 +285,24 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
         leaves.clear()
         solve_bounded(inst, n, n + 1, t, gamma=0.0)
         nbr = inst.graph.neighbor_sets()
-        for leaf in leaves[:40]:
-            free = leaf.state.free
-            fixed_in = leaf.cover | {u for u, b in leaf.membership.items() if b}
-            fixed_out = {u for u, b in leaf.membership.items() if not b}
-            rest = sorted(free - fixed_in - fixed_out)
+        for state, ctx, projected in leaves[:40]:
+            free = state.free
+            rest = sorted(free - ctx.inside - ctx.outside)
             sub_g, ids = inst.graph.induced(free)
             to_local = {old: new for new, old in enumerate(ids)}
-            cover_local = frozenset(to_local[v] for v in leaf.cover)
+            cover_local = frozenset(to_local[v] for v in ctx.cover)
             cover_edges = covered_edges(sub_g, cover_local)
             for _ in range(12):
-                b = set(fixed_in) | {u for u in rest if rng.random() < 0.5}
+                b = set(ctx.inside) | {u for u in rest if rng.random() < 0.5}
                 if covered_edges(sub_g, frozenset(to_local[v] for v in b)) != cover_edges:
                     continue
                 if any(
                     min(len(nbr[v] & b), inst.thr[v]) != q
-                    for v, q in leaf.quota.items()
+                    for v, q in ctx.quota.items()
                 ):
                     continue
                 checked += 1
-                full = closure(inst, leaf.state.selected | b)
-                assert leaf.projected - b == full - b, (
-                    inst.graph.edges(), inst.thr, sorted(b), leaf)
+                full = closure(inst, state.selected | b)
+                assert projected - b == full - b, (
+                    inst.graph.edges(), inst.thr, sorted(b), ctx.quota, sorted(ctx.outside))
     assert checked > 100

@@ -225,6 +225,24 @@ def test_verify_command(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("INVALID")
 
 
+def test_verify_rejects_negative_flags(tmp_path, capsys):
+    path = _write(tmp_path, "k3.tss", K3)
+    for flag in ("--k", "--l"):
+        assert run(["verify", path, "--x", "1", flag, "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "budget and target must be non-negative" in err
+
+
+def test_bench_failing_row_prints_nothing(tmp_path, capsys):
+    # the header comes with the rows, so a row that fails leaves stdout empty
+    path = _write(tmp_path, "k3.tss", K3_THR1)
+    assert run(["bench", path, "--algo", "dual", "--d", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_bench_csv(tmp_path, capsys):
     k3 = _write(tmp_path, "k3.tss", K3)
     p3 = _write(tmp_path, "p3.tss", P3)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,18 @@ def test_parse_errors(text, fragment):
     with pytest.raises(InstanceFormatError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+
+
+def test_missing_threshold_found_without_listing_every_vertex():
+    # a short header claiming millions of vertices must not cost memory per vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceFormatError, match="missing threshold for vertex 1$"):
+            parse_instance("p tss 3000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_force_clamps_oversized_query():

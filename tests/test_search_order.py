@@ -134,6 +134,12 @@ EXPECTED: dict[tuple, object] = {
     ("gamma0-reg", 7, 2, 2, 1, 4, 7):
         ([0, 2, 3, 4], (0, 3, 15, 0, 10, 207, 0, 32, 74, 13, 0)),
     ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    # Stage 2's member branches: a YES and a NO query on one gnp draw, and a
+    # t = 3 NO query where the counting bound is slack and stage 2 runs dry.
+    ("gamma0", "gnp", 9, 0.35, 7, 2, 9): ([5, 8], (0, 2, 10, 0, 1, 117, 24, 92, 345, 3, 0)),
+    ("gamma0", "gnp", 9, 0.35, 7, 1, 9):
+        (None, (42, 5, 25, 0, 21, 1566, 146, 958, 4674, 26, 0)),
+    ("gamma0-reg", 7, 4, 3, 0, 2, 6): (None, (3, 1, 12, 0, 55, 1236, 20, 575, 2938, 13, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 0): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 1): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "regular", 10, "const", 2, 0):
