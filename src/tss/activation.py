@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, repeat
+from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -177,3 +179,116 @@ def seed_masks(
         map(sum, combinations(bits, size), repeat(base))
         for size in range(max(min_size, 0), min(max_size, len(bits)) + 1)
     )
+
+
+CHUNK = 4096  # seeds per bit-sliced batch: one 512-byte vector per vertex
+
+
+def first_reaching(
+    masks: Sequence[int], thr: Sequence[int], items: Sequence[int], max_size: int,
+    target: int, base: int = 0, min_size: int = 0,
+) -> tuple[Optional[int], int]:
+    """The first seed of seed_masks(items, max_size, base, min_size) whose
+    closure_mask has at least target vertices, or None, with the number of
+    seeds tested up to and including it (all of them when none reaches).
+
+    Bit-sliced in the style of Biham ("A fast new DES implementation in
+    software", FSE 1997): Python ints serve as vectors with one bit per seed,
+    so each big-int operation acts on a chunk of up to CHUNK seeds, consecutive
+    in seed order. act[v] has bit j set iff v is active under the chunk's
+    j-th seed. Sweeps raise act[v] by a saturating counter ladder over v's
+    neighbours, c[i] |= c[i-1] & act[u], whose c[thr(v)] marks the seeds with
+    at least thr(v) active neighbours, until a sweep adds nothing; any order of
+    updates reaches the same least fixpoint. A second ladder counts active
+    vertices, and the lowest set bit of its result is the chunk's first hit.
+    """
+    n = len(masks)
+    nbrs = [sorted(members(masks[v])) for v in range(n)]
+    # vertices that can activate by their neighbours at all
+    movers = [v for v in range(n) if thr[v] <= len(nbrs[v]) and not (base >> v) & 1]
+    tested = 0
+    for size in range(max(min_size, 0), min(max_size, len(items)) + 1):
+        total = comb(len(items), size)
+        for lo in range(0, total, CHUNK):
+            width = min(CHUNK, total - lo)
+            full = (1 << width) - 1
+            act = [full if (base >> v) & 1 else 0 for v in range(n)]
+            lanes = _lanes(len(items), size, lo, lo + width)
+            for v, vec in zip(items, lanes):
+                act[v] = vec
+            _sliced_fixpoint(nbrs, thr, movers, masks, act, full)
+            if 2 * target <= n + 1:  # the shorter ladder: active ones, or inactive ones
+                hit = _at_least(act, target, full)
+            else:
+                hit = full & ~_at_least([full ^ a for a in act], n - target + 1, full)
+            if hit:
+                j = (hit & -hit).bit_length() - 1
+                return base | sum(1 << v for v, vec in zip(items, lanes) if (vec >> j) & 1), tested + j + 1
+            tested += width
+    return None, tested
+
+
+def _sliced_fixpoint(nbrs: list[list[int]], thr: Sequence[int], movers: list[int],
+                     masks: Sequence[int], act: list[int], full: int) -> None:
+    """Raise act to the bit-sliced activation fixpoint, in place."""
+    stale = mask_of(movers)
+    while stale:
+        touched = 0
+        for v in movers:
+            a = act[v]
+            if not (stale >> v) & 1 or a == full:
+                continue
+            t = thr[v]
+            c = [full] + [0] * t
+            steps = range(t, 0, -1)
+            for u in nbrs[v]:
+                x = act[u]
+                if x:
+                    for i in steps:
+                        c[i] |= c[i - 1] & x
+            if c[t] & ~a:
+                act[v] = a | c[t]
+                touched |= masks[v]
+        stale = touched
+
+
+def _at_least(vecs: Iterable[int], j: int, full: int) -> int:
+    """The lanes where at least j of the bit vectors are set."""
+    if j <= 0:
+        return full
+    c = [full] + [0] * j
+    k = 0
+    for x in vecs:
+        if x:
+            k += 1
+            for i in range(min(k, j), 0, -1):
+                c[i] |= c[i - 1] & x
+    return c[j]
+
+
+def _lanes(r: int, s: int, lo: int, hi: int) -> tuple[int, ...]:
+    """Indicator vectors of r items over lanes lo..hi-1, lane j being the j-th
+    s-subset of range(r) in lexicographic order: bit j - lo of the p-th vector
+    is set iff item p is in lane j's subset. The subsets holding item 0 come
+    first, then those without it, so each level is two smaller ones side by
+    side, joined by shifts and ORs.
+    """
+    if s == 0 or hi <= lo:
+        return (0,) * r
+    if lo == 0 and hi == comb(r, s):
+        return _level(r, s)
+    return _split(r, s, lo, hi)
+
+
+@lru_cache(maxsize=1024)
+def _level(r: int, s: int) -> tuple[int, ...]:
+    """_lanes over a whole level, at most CHUNK lanes; whole levels recur across chunks and calls."""
+    return _split(r, s, 0, comb(r, s))
+
+
+def _split(r: int, s: int, lo: int, hi: int) -> tuple[int, ...]:
+    w = comb(r - 1, s - 1)
+    head = _lanes(r - 1, s - 1, min(lo, w), min(hi, w))
+    tail = _lanes(r - 1, s, max(lo, w) - w, max(hi, w) - w)
+    shift = max(w - lo, 0)
+    return ((1 << max(min(hi, w) - lo, 0)) - 1, *(h | t << shift for h, t in zip(head, tail)))

@@ -29,7 +29,8 @@ from math import comb, log2
 from typing import Callable, Optional, Sequence
 
 from .activation import (
-    closure_mask, edges_within, fitting, mask_of, members, seed_masks, threshold_prefix,
+    closure_mask, edges_within, first_reaching, fitting, mask_of, members, seed_masks,
+    threshold_prefix,
 )
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .instance import Instance
@@ -297,7 +298,7 @@ def solve_bounded(
     def prune(selected: frozenset[int], free: frozenset[int], act: int) -> bool:
         if len(selected) > k:
             return True
-        if lower(selected) > k:
+        if l > n or lower(selected) > k:
             if stats is not None:
                 stats.bound_prunes += 1
             return True
@@ -308,10 +309,10 @@ def solve_bounded(
             if stats is not None:
                 stats.br2_leaves += 1
             low = lower(selected) - len(selected)
-            for seed in seed_masks(sorted(free), k - len(selected), act, low):
-                if closure_mask(masks, thr, seed).bit_count() >= l:
-                    return selected | members(seed & ~act)
-            return None
+            seed, tested = first_reaching(masks, thr, sorted(free), k - len(selected), l, act, low)
+            if stats is not None:
+                stats.leaf_seeds += tested
+            return None if seed is None else selected | members(seed & ~act)
         state = SearchState(selected, frozenset(range(n)) - selected - free, free)
         sub_g, old_ids = inst.graph.induced(free)
         # a fresh Stats per enumeration: a wrapper counting the object it is given sees it once

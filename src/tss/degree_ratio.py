@@ -142,6 +142,8 @@ def solve_ratio_tss(inst: Instance, k: int, l: int) -> Optional[frozenset[int]]:
     if k < 0 or l < 0:
         raise ValueError("budget and target must be non-negative")
     n = inst.n
+    if l > n:
+        return None
     masks = inst.graph.neighbor_masks()
     comps = inst.graph.components()
     big_vertices = sorted(v for c in comps if len(c) >= 3 for v in c)

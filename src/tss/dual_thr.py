@@ -10,9 +10,12 @@ subgraph; per-vertex dual values generalize the peeling bound per vertex.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+from operator import mul
 from typing import Optional, Sequence
 
-from .activation import edges_within, fitting, mask_of, members, threshold_prefix
+from .activation import edges_within, mask_of, members
 from .instance import Graph, Instance
 from .stats import Stats
 
@@ -48,8 +51,16 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
     thr = inst.thr
     m = inst.graph.m
     candidates = [v for v in range(inst.n) if duals[v] >= 0]
-    # suffix[i]: the threshold prefix table of candidates[i:]
-    suffix = [threshold_prefix(thr[v] for v in candidates[i:]) for i in range(len(candidates) + 1)]
+    values = sorted({thr[v] for v in candidates})
+    slot = {x: j for j, x in enumerate(values)}
+    per_value = [0] * len(values)
+    # suffix[i]: the tally of candidates[i:] that _fitting reads, O(distinct thresholds) ints
+    suffix: list[tuple[list[int], list[int]]] = [([], [])] * (len(candidates) + 1)
+    for i in range(len(candidates), -1, -1):
+        if i < len(candidates):
+            per_value[slot[thr[candidates[i]]]] += 1
+        suffix[i] = (list(accumulate(per_value, initial=0)),
+                     list(accumulate(map(mul, per_value, values), initial=0)))
     out = ((1 << inst.n) - 1) ^ mask_of(candidates)
     best = 0
     # a node: next candidate, pick, thr(pick), vertices decided out, e(out)
@@ -58,7 +69,7 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
         i, pick, pick_thr, out, e_out = stack.pop()
         if stats is not None:
             stats.dual_nodes += 1
-        if pick.bit_count() + fitting(suffix[i], m - pick_thr - e_out) <= best.bit_count():
+        if pick.bit_count() + _fitting(values, *suffix[i], m - pick_thr - e_out) <= best.bit_count():
             if stats is not None:
                 stats.bound_prunes += 1
             continue
@@ -71,6 +82,19 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
         if _peels_empty(masks, pick | 1 << v, duals):
             stack.append((i + 1, pick | 1 << v, pick_thr + thr[v], out, e_out))
     return frozenset(range(inst.n)) - members(best)
+
+
+def _fitting(values: Sequence[int], counts: Sequence[int], sums: Sequence[int],
+             budget: int) -> int:
+    """fitting() over thresholds tallied per distinct value: counts[j] and sums[j]
+    are the number and the sum of those below values[j] (the last entries: all).
+    Whole values fit while their sum does; then as many of the next as the rest
+    of the budget pays for, fewer than all of them.
+    """
+    j = bisect_right(sums, budget) - 1
+    if j < 0 or j == len(values):
+        return j if j < 0 else counts[j]
+    return counts[j] + (budget - sums[j]) // values[j]
 
 
 def _peels_empty(masks: Sequence[int], remaining: int, bound: Sequence[int]) -> bool:

@@ -20,6 +20,7 @@ class Stats:
     br1_children: list[tuple[int, int]] = field(default_factory=list)  # (threshold, children)
     # bounded: stage-1 brute-force leaves, stage 2, stage-3 DP
     br2_leaves: int = 0
+    leaf_seeds: int = 0  # seeds the stage-1 leaves test, up to and including a hit
     stage2_covers: int = 0
     quota_branches: list[tuple[int, int]] = field(default_factory=list)  # (threshold, choices)
     member_branches: int = 0

@@ -9,7 +9,7 @@ from tss import (
     oracle_tss_decision,
 )
 from tss.activation import (
-    closure_mask, edges_within, fitting, mask_of, seed_masks, threshold_prefix,
+    closure_mask, edges_within, first_reaching, fitting, mask_of, seed_masks, threshold_prefix,
 )
 
 from helpers import complete_instance, graphs, naive_rounds, path_instance, rand_gnp_instance
@@ -189,3 +189,44 @@ def test_seed_masks_from_a_minimum_size(items, hi, lo, data):
     assert list(seed_masks(items, hi, base, lo)) == [
         seed for seed in everything if (seed ^ base).bit_count() >= lo
     ]
+
+
+def _first_reaching_scalar(masks, thr, items, max_size, target, base, min_size):
+    """The loop first_reaching replaces: one closure_mask per seed, in seed order."""
+    tested = 0
+    for seed in seed_masks(items, max_size, base, min_size):
+        tested += 1
+        if closure_mask(masks, thr, seed).bit_count() >= target:
+            return seed, tested
+    return None, tested
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graphs(16), st.data())
+def test_first_reaching_matches_the_scalar_loop(g, data):
+    thr = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    # each vertex is an item, in the base, or neither; at most 10 items keep
+    # the scalar side's 2^10 closures cheap
+    role = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    items = [v for v in range(g.n) if role[v] == 0][:10]
+    base = mask_of(v for v in range(g.n) if role[v] == 1)
+    hi = data.draw(st.integers(-1, len(items) + 1))
+    lo = data.draw(st.integers(-1, len(items) + 1))
+    target = data.draw(st.integers(0, g.n + 1))
+    args = (g.neighbor_masks(), thr, items, hi, target, base, lo)
+    assert first_reaching(*args) == _first_reaching_scalar(*args)
+
+
+def test_first_reaching_past_the_first_chunk():
+    # 16 items at size 5 make 4,368 seeds. Five of items 6-15 wake a hub of
+    # threshold 5, which wakes the rest of them and ten pendant vertices; items
+    # 0-5 are isolated. The first seed without items 0-5 comes 4,117th.
+    hub, pendants = 16, range(17, 27)
+    g = Graph(27, [(hub, v) for v in range(6, 16)] + [(hub, v) for v in pendants])
+    thr = [1] * 27
+    thr[hub] = 5
+    masks = g.neighbor_masks()
+    hit = (mask_of(range(6, 11)), 4117)
+    assert first_reaching(masks, thr, range(16), 5, 21, 0, 5) == hit
+    assert _first_reaching_scalar(masks, thr, range(16), 5, 21, 0, 5) == hit
+    assert first_reaching(masks, thr, range(16), 5, 22, 0, 5) == (None, 4368)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,15 @@ def test_empty_budget_when_target_already_met():
         base = len(closure(inst, ()))
         t = max(1, inst.max_threshold())
         assert solve_bounded(inst, 0, base, t) == frozenset()
+
+
+def test_target_beyond_n_is_pruned_at_the_root():
+    inst = gen_random("gnp", 40, "const", 0, p=0.3, thr_param=2)
+    stats = Stats()
+    start = time.perf_counter()
+    assert solve_bounded(inst, 40, 41, 2, stats=stats) is None
+    assert time.perf_counter() - start < 0.1
+    assert stats.bound_prunes == 1 and stats.br1_apps == 0
 
 
 def test_threshold_precondition():
@@ -267,13 +277,14 @@ def test_dp_infeasible_promise():
 def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch):
     # for every explored leaf and every selection consistent with its record,
     # the projected set and the true activated set agree off the selection;
-    # stage 3 runs once per leaf, so wrapping it collects every leaf
+    # stage 3 runs once per leaf, so wrapping it collects every leaf, and
+    # answering None there makes the search walk all of them
     leaves: list[tuple[SearchState, _Ctx, frozenset[int]]] = []
     original = bounded_thr.stage3_dp
 
     def recording(inst, state, ctx, projected, *args):
         leaves.append((state, ctx, projected))
-        return original(inst, state, ctx, projected, *args)
+        original(inst, state, ctx, projected, *args)
 
     monkeypatch.setattr(bounded_thr, "stage3_dp", recording)
     rng = random.Random(909)
@@ -283,7 +294,7 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
         inst = rand_gnp_instance(rng, n, rng.randint(1, 3), p=0.45)
         t = max(1, inst.max_threshold())
         leaves.clear()
-        solve_bounded(inst, n, n + 1, t, gamma=0.0)
+        solve_bounded(inst, n, n, t, gamma=0.0)
         nbr = inst.graph.neighbor_sets()
         for state, ctx, projected in leaves[:40]:
             free = state.free
@@ -305,4 +316,4 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
                 full = closure(inst, state.selected | b)
                 assert projected - b == full - b, (
                     inst.graph.edges(), inst.thr, sorted(b), ctx.quota, sorted(ctx.outside))
-    assert checked > 100
+    assert checked > 100, checked

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from tss import cli, gen_random, is_perfect_target_set, parse_instance, write_instance
@@ -35,6 +36,13 @@ def test_solve_oracle_no(tmp_path, capsys):
     path = _write(tmp_path, "k3.tss", K3)
     assert run(["solve", path, "--algo", "oracle", "--k", "1", "--l", "3"]) == 1
     assert capsys.readouterr().out.strip() == "NO"
+
+
+def test_solve_target_beyond_n_is_no(tmp_path, capsys):
+    path = _write(tmp_path, "k3t1.tss", K3_THR1)
+    for algo in SOLVE_ALGOS + ("auto",):
+        assert run(["solve", path, "--algo", algo, "--k", "3", "--l", "4"]) == 1
+        assert capsys.readouterr().out.strip() == "NO", algo
 
 
 def test_solve_algorithms_agree(tmp_path, capsys):
@@ -296,11 +304,18 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
 def test_dual_answers_a_deep_path(tmp_path, capsys):
     # dual's branch-and-bound keeps its nodes on a stack, so a 1,100-vertex path
     # with thr = deg (dual 0), far deeper than the default recursion limit of
-    # 1,000, is answered: the minimum seed takes every second vertex
+    # 1,000, is answered: the minimum seed takes every second vertex. Its
+    # tables grow linearly in n, so the run stays within 2 MB.
     n = 1100
     inst = path_instance((1,) + (2,) * (n - 2) + (1,))
     path = _write(tmp_path, "path.tss", write_instance(inst))
-    assert run(["perfect", path, "--algo", "dual", "--json"]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["perfect", path, "--algo", "dual", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
     witness = json.loads(capsys.readouterr().out)["witness"]
     assert len(witness) == n // 2
     assert is_perfect_target_set(inst, [v - 1 for v in witness])

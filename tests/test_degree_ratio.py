@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 from math import floor
 
@@ -10,6 +11,7 @@ from tss import (
     Instance,
     closure,
     construct_small_pts,
+    gen_random,
     is_perfect_target_set,
     oracle_min_perfect_tss,
     oracle_tss_decision,
@@ -145,6 +147,13 @@ def test_solve_ratio_greedy_over_small_components():
 def test_solve_ratio_trivial_target():
     inst = rand_ratio_instance(random.Random(6), 6)
     assert solve_ratio_tss(inst, 0, 0) == frozenset()
+
+
+def test_solve_ratio_target_beyond_n_is_a_trivial_no():
+    inst = gen_random("regular", 40, "const", 0, degree=3, thr_param=1)
+    start = time.perf_counter()
+    assert solve_ratio_tss(inst, 40, 41) is None
+    assert time.perf_counter() - start < 0.1
 
 
 def test_solve_ratio_matches_oracle():

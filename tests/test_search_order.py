@@ -22,8 +22,9 @@ from tss.perfect_small_thr import solve_perfect_thr2, solve_perfect_thr3
 from tss.stats import Stats
 
 # The pinned counters of each solver, in the order of the EXPECTED tuples.
-BOUNDED_COUNTERS = ("rr1_moves", "br1_apps", "br1_children", "br2_leaves", "stage2_covers",
-                    "quota_branches", "member_branches", "stage2_leaves", "dp_states")
+BOUNDED_COUNTERS = ("rr1_moves", "br1_apps", "br1_children", "br2_leaves", "leaf_seeds",
+                    "stage2_covers", "quota_branches", "member_branches", "stage2_leaves",
+                    "dp_states")
 PERFECT_COUNTERS = ("rr1_moves", "rr3_moves", "br1_apps", "br1_children", "r4_apps",
                     "r4_children", "r5_apps", "r5_children", "part1_max_size",
                     "part1_found", "leaf_bruteforces")
@@ -98,48 +99,49 @@ def _sorted(witness):
 
 
 # The last field of each bounded/thr2/thr3 entry, set-based closure calls,
-# is 0 throughout: the solvers' inner loops run on closure_mask alone.
+# is 0 throughout: the solvers' inner loops run on closure_mask alone, apart
+# from bounded's stage-1 leaves, whose bit-sliced seeds leaf_seeds counts.
 EXPECTED: dict[tuple, object] = {
-    ("bounded", "gnp", 12, 0.35, 0, 4, 12): ([1, 2, 8, 10], (0, 1, 5, 1, 0, 0, 0, 0, 0, 19, 0)),
-    ("bounded", "gnp", 12, 0.35, 0, 3, 12): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("bounded", "gnp", 12, 0.35, 0, 2, 8): (None, (1, 1, 5, 5, 0, 0, 0, 0, 0, 83, 0)),
-    ("bounded", "gnp", 12, 0.35, 1, 2, 12): ([5, 6], (0, 1, 5, 1, 0, 0, 0, 0, 0, 27, 0)),
-    ("bounded", "gnp", 12, 0.35, 1, 1, 12): (None, (7, 1, 5, 4, 0, 0, 0, 0, 0, 18, 0)),
-    ("bounded", "gnp", 12, 0.35, 1, 2, 8): ([2, 3], (0, 1, 5, 1, 0, 0, 0, 0, 0, 13, 0)),
-    ("bounded", "gnp", 12, 0.35, 2, 4, 12): ([0, 6, 7, 9], (0, 1, 5, 1, 0, 0, 0, 0, 0, 124, 0)),
-    ("bounded", "gnp", 12, 0.35, 2, 3, 12): (None, (4, 1, 5, 5, 0, 0, 0, 0, 0, 203, 0)),
-    ("bounded", "gnp", 12, 0.35, 2, 2, 8): (None, (4, 1, 5, 5, 0, 0, 0, 0, 0, 83, 0)),
-    ("bounded", "gnp", 12, 0.35, 3, 4, 12): ([2, 4, 5, 8], (0, 1, 5, 1, 0, 0, 0, 0, 0, 25, 0)),
-    ("bounded", "gnp", 12, 0.35, 3, 3, 12): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("bounded", "gnp", 12, 0.35, 3, 2, 8): (None, (0, 1, 5, 5, 0, 0, 0, 0, 0, 83, 0)),
-    ("gamma0", "gnp", 7, 0.45, 0, 4, 7): ([0, 1, 2, 5], (0, 1, 5, 0, 5, 72, 0, 28, 322, 3, 0)),
-    ("gamma0", "gnp", 7, 0.45, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("gamma0", "gnp", 7, 0.45, 1, 2, 7): ([4, 6], (1, 2, 10, 1, 4, 111, 0, 16, 36, 8, 0)),
-    ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("gamma0", "gnp", 7, 0.45, 2, 3, 7): ([1, 3, 5], (0, 1, 5, 0, 1, 27, 0, 17, 249, 2, 0)),
-    ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ("bounded", "gnp", 12, 0.35, 0, 4, 12): ([1, 2, 8, 10], (0, 1, 5, 1, 17, 0, 0, 0, 0, 0, 2, 0)),
+    ("bounded", "gnp", 12, 0.35, 0, 3, 12): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ("bounded", "gnp", 12, 0.35, 0, 2, 8): (None, (1, 1, 5, 5, 77, 0, 0, 0, 0, 0, 6, 0)),
+    ("bounded", "gnp", 12, 0.35, 1, 2, 12): ([5, 6], (0, 1, 5, 1, 25, 0, 0, 0, 0, 0, 2, 0)),
+    ("bounded", "gnp", 12, 0.35, 1, 1, 12): (None, (7, 1, 5, 4, 12, 0, 0, 0, 0, 0, 6, 0)),
+    ("bounded", "gnp", 12, 0.35, 1, 2, 8): ([2, 3], (0, 1, 5, 1, 11, 0, 0, 0, 0, 0, 2, 0)),
+    ("bounded", "gnp", 12, 0.35, 2, 4, 12): ([0, 6, 7, 9], (0, 1, 5, 1, 122, 0, 0, 0, 0, 0, 2, 0)),
+    ("bounded", "gnp", 12, 0.35, 2, 3, 12): (None, (4, 1, 5, 5, 197, 0, 0, 0, 0, 0, 6, 0)),
+    ("bounded", "gnp", 12, 0.35, 2, 2, 8): (None, (4, 1, 5, 5, 77, 0, 0, 0, 0, 0, 6, 0)),
+    ("bounded", "gnp", 12, 0.35, 3, 4, 12): ([2, 4, 5, 8], (0, 1, 5, 1, 23, 0, 0, 0, 0, 0, 2, 0)),
+    ("bounded", "gnp", 12, 0.35, 3, 3, 12): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ("bounded", "gnp", 12, 0.35, 3, 2, 8): (None, (0, 1, 5, 5, 77, 0, 0, 0, 0, 0, 6, 0)),
+    ("gamma0", "gnp", 7, 0.45, 0, 4, 7): ([0, 1, 2, 5], (0, 1, 5, 0, 0, 5, 72, 0, 28, 322, 3, 0)),
+    ("gamma0", "gnp", 7, 0.45, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ("gamma0", "gnp", 7, 0.45, 1, 2, 7): ([4, 6], (1, 2, 10, 1, 1, 4, 111, 0, 16, 36, 7, 0)),
+    ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ("gamma0", "gnp", 7, 0.45, 2, 3, 7): ([1, 3, 5], (0, 1, 5, 0, 0, 1, 27, 0, 17, 249, 2, 0)),
+    ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     # Shaped like the decision benchmark's gamma0 families: (kind, n, degree,
     # threshold, seed, k, l) on regular draws, with k = opt and opt - 1.
-    ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 2, 108, 0, 32, 66, 4, 0)),
-    ("gamma0-reg", 7, 4, 2, 0, 1, 7): (None, (17, 5, 25, 0, 7, 285, 0, 80, 167, 26, 0)),
-    ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 2, 84, 0, 24, 50, 4, 0)),
-    ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 7, 270, 0, 80, 167, 26, 0)),
-    ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 6, 412, 2, 177, 904, 3, 0)),
-    ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 9, 352, 0, 112, 595, 3, 0)),
-    ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 0, 2, 108, 0, 32, 66, 4, 0)),
+    ("gamma0-reg", 7, 4, 2, 0, 1, 7): (None, (17, 5, 25, 0, 0, 7, 285, 0, 80, 167, 26, 0)),
+    ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 0, 2, 84, 0, 24, 50, 4, 0)),
+    ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 0, 7, 270, 0, 80, 167, 26, 0)),
+    ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 0, 6, 412, 2, 177, 904, 3, 0)),
+    ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 0, 9, 352, 0, 112, 595, 3, 0)),
+    ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0-reg", 7, 2, 2, 0, 4, 7):
-        ([0, 3, 4, 6], (0, 3, 15, 0, 10, 183, 0, 32, 74, 13, 0)),
-    ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+        ([0, 3, 4, 6], (0, 3, 15, 0, 0, 10, 183, 0, 32, 74, 13, 0)),
+    ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0-reg", 7, 2, 2, 1, 4, 7):
-        ([0, 2, 3, 4], (0, 3, 15, 0, 10, 207, 0, 32, 74, 13, 0)),
-    ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+        ([0, 2, 3, 4], (0, 3, 15, 0, 0, 10, 207, 0, 32, 74, 13, 0)),
+    ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     # Stage 2's member branches: a YES and a NO query on one gnp draw, and a
     # t = 3 NO query where the counting bound is slack and stage 2 runs dry.
-    ("gamma0", "gnp", 9, 0.35, 7, 2, 9): ([5, 8], (0, 2, 10, 0, 1, 117, 24, 92, 345, 3, 0)),
+    ("gamma0", "gnp", 9, 0.35, 7, 2, 9): ([5, 8], (0, 2, 10, 0, 0, 1, 117, 24, 92, 345, 3, 0)),
     ("gamma0", "gnp", 9, 0.35, 7, 1, 9):
-        (None, (42, 5, 25, 0, 21, 1566, 146, 958, 4674, 26, 0)),
-    ("gamma0-reg", 7, 4, 3, 0, 2, 6): (None, (3, 1, 12, 0, 55, 1236, 20, 575, 2938, 13, 0)),
+        (None, (42, 5, 25, 0, 0, 21, 1566, 146, 958, 4674, 26, 0)),
+    ("gamma0-reg", 7, 4, 3, 0, 2, 6): (None, (3, 1, 12, 0, 0, 55, 1236, 20, 575, 2938, 13, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 0): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 1): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "regular", 10, "const", 2, 0):
@@ -205,12 +207,14 @@ def test_search_order_pinned(case, monkeypatch):
     assert _run(case, monkeypatch) == EXPECTED[case]
 
 
-# Nodes cut by the counting bound. The bounded case is a NO query that the
-# bound answers at the root, before any branching.
+# Nodes cut by the counting bound. The bounded cases are NO queries that the
+# bound answers at the root, before any branching; the second asks for more
+# vertices than the graph has.
 BOUND_PRUNES = {
     ("dual", 10, 1, 1): 8,
     ("dual", 10, 1, 2): 21,
     ("bounded", "gnp", 12, 0.35, 0, 3, 12): 1,
+    ("bounded", "gnp", 12, 0.35, 0, 12, 13): 1,
 }
 
 
