@@ -223,7 +223,8 @@ def first_reaching(
                 hit = full & ~_at_least([full ^ a for a in act], n - target + 1, full)
             if hit:
                 j = (hit & -hit).bit_length() - 1
-                return base | sum(1 << v for v, vec in zip(items, lanes) if (vec >> j) & 1), tested + j + 1
+                seed = base | sum(1 << v for v, vec in zip(items, lanes) if (vec >> j) & 1)
+                return seed, tested + j + 1
             tested += width
     return None, tested
 
@@ -266,29 +267,54 @@ def _at_least(vecs: Iterable[int], j: int, full: int) -> int:
     return c[j]
 
 
-def _lanes(r: int, s: int, lo: int, hi: int) -> tuple[int, ...]:
+def _lanes(r: int, s: int, lo: int, hi: int) -> Sequence[int]:
     """Indicator vectors of r items over lanes lo..hi-1, lane j being the j-th
     s-subset of range(r) in lexicographic order: bit j - lo of the p-th vector
-    is set iff item p is in lane j's subset. The subsets holding item 0 come
-    first, then those without it, so each level is two smaller ones side by
-    side, joined by shifts and ORs.
-    """
-    if s == 0 or hi <= lo:
-        return (0,) * r
-    if lo == 0 and hi == comb(r, s):
+    is set iff item p is in lane j's subset."""
+    if lo == 0 and hi == comb(r, s) and r <= CACHED_ITEMS:
         return _level(r, s)
-    return _split(r, s, lo, hi)
+    return _fill(r, s, lo, hi)
 
 
-@lru_cache(maxsize=1024)
+CACHED_ITEMS = 64
+
+
+@lru_cache(maxsize=None)
 def _level(r: int, s: int) -> tuple[int, ...]:
-    """_lanes over a whole level, at most CHUNK lanes; whole levels recur across chunks and calls."""
-    return _split(r, s, 0, comb(r, s))
+    """_lanes over a whole level; levels recur across chunks and calls. Only
+    levels of at most CHUNK lanes over at most CACHED_ITEMS items come here:
+    399 of them, under 1 MB of vectors in all."""
+    return tuple(_fill(r, s, 0, comb(r, s)))
 
 
-def _split(r: int, s: int, lo: int, hi: int) -> tuple[int, ...]:
-    w = comb(r - 1, s - 1)
-    head = _lanes(r - 1, s - 1, min(lo, w), min(hi, w))
-    tail = _lanes(r - 1, s, max(lo, w) - w, max(hi, w) - w)
-    shift = max(w - lo, 0)
-    return ((1 << max(min(hi, w) - lo, 0)) - 1, *(h | t << shift for h, t in zip(head, tail)))
+def _fill(r: int, s: int, lo: int, hi: int) -> list[int]:
+    """_lanes by blocks: the s-subsets whose smallest item is p come as one block,
+    p ascending, and within it item p is set and the rest of each subset runs
+    over the level (r - p - 1, s - 1) of the items after p. The blocks in range
+    are shifted and ORed in from an explicit stack, so deep levels need no
+    recursion; whole blocks over few items come from _level.
+    """
+    vecs = [0] * r
+    todo = [(0, r, s, lo, hi, 0)]
+    while todo:
+        first, r, s, lo, hi, shift = todo.pop()
+        if s == r:  # one lane, holding every item
+            for q in range(first, first + r):
+                vecs[q] |= 1 << shift
+            continue
+        start = 0  # lane where the block of item p starts
+        for p in range(r - s + 1) if s else ():
+            size = comb(r - p - 1, s - 1)
+            if start + size > lo:
+                sub_lo, sub_hi = max(lo - start, 0), min(hi - start, size)
+                at = shift + max(start - lo, 0)
+                vecs[first + p] |= ((1 << (sub_hi - sub_lo)) - 1) << at
+                if s > 1 and sub_hi - sub_lo == size and r - p - 1 <= CACHED_ITEMS:
+                    for q, vec in enumerate(_level(r - p - 1, s - 1), first + p + 1):
+                        vecs[q] |= vec << at
+                elif s > 1:
+                    todo.append((first + p + 1, r - p - 1, s - 1, sub_lo, sub_hi, at))
+            start += size
+            if start >= hi:
+                break
+    return vecs

@@ -69,7 +69,8 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
         i, pick, pick_thr, out, e_out = stack.pop()
         if stats is not None:
             stats.dual_nodes += 1
-        if pick.bit_count() + _fitting(values, *suffix[i], m - pick_thr - e_out) <= best.bit_count():
+        grow = _fitting(values, *suffix[i], m - pick_thr - e_out)
+        if pick.bit_count() + grow <= best.bit_count():
             if stats is not None:
                 stats.bound_prunes += 1
             continue

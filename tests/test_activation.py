@@ -1,13 +1,15 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tss import (
-    Graph, Instance, activate, closure, is_perfect_target_set, oracle_min_perfect_tss,
-    oracle_tss_decision,
+    Graph, Instance, activate, closure, gen_random, is_perfect_target_set,
+    oracle_min_perfect_tss, oracle_tss_decision,
 )
+import tss.activation as activation
 from tss.activation import (
     closure_mask, edges_within, first_reaching, fitting, mask_of, seed_masks, threshold_prefix,
 )
@@ -214,7 +216,10 @@ def test_first_reaching_matches_the_scalar_loop(g, data):
     lo = data.draw(st.integers(-1, len(items) + 1))
     target = data.draw(st.integers(0, g.n + 1))
     args = (g.neighbor_masks(), thr, items, hi, target, base, lo)
-    assert first_reaching(*args) == _first_reaching_scalar(*args)
+    # narrow chunks put chunk boundaries inside the levels of few items
+    width = data.draw(st.sampled_from((1, 5, 32, activation.CHUNK)))
+    with patch.object(activation, "CHUNK", width):
+        assert first_reaching(*args) == _first_reaching_scalar(*args)
 
 
 def test_first_reaching_past_the_first_chunk():
@@ -230,3 +235,18 @@ def test_first_reaching_past_the_first_chunk():
     assert first_reaching(masks, thr, range(16), 5, 21, 0, 5) == hit
     assert _first_reaching_scalar(masks, thr, range(16), 5, 21, 0, 5) == hit
     assert first_reaching(masks, thr, range(16), 5, 22, 0, 5) == (None, 4368)
+
+
+def test_first_reaching_over_many_items():
+    # Over 64 items the indicator vectors are built without the level cache,
+    # at a shallow and at a deep level. 1,500 items at full size nest deeper
+    # than the recursion limit.
+    inst = gen_random("gnp", 75, "const", 0, p=0.06, thr_param=2)
+    masks = inst.graph.neighbor_masks()
+    # the first hits come 37th, 105th and 170th of 2,415 seeds, or never
+    for lo, hi, target in ((2, 2, 5), (2, 2, 6), (2, 2, 9), (2, 2, 71), (68, 69, 73),
+                           (68, 69, 75)):
+        args = (masks, inst.thr, range(70), hi, target, 0, lo)
+        assert first_reaching(*args) == _first_reaching_scalar(*args)
+    masks, thr = [0] * 1500, [1] * 1500
+    assert first_reaching(masks, thr, range(1500), 1500, 1500, 0, 1500) == ((1 << 1500) - 1, 1)
