@@ -54,13 +54,15 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
     values = sorted({thr[v] for v in candidates})
     slot = {x: j for j, x in enumerate(values)}
     per_value = [0] * len(values)
-    # suffix[i]: the tally of candidates[i:] that _fitting reads, O(distinct thresholds) ints
+    # suffix[i]: for candidates[i:], how many thresholds lie below each value
+    # and their sum, then all of them; O(distinct thresholds) ints a suffix
     suffix: list[tuple[list[int], list[int]]] = [([], [])] * (len(candidates) + 1)
     for i in range(len(candidates), -1, -1):
         if i < len(candidates):
             per_value[slot[thr[candidates[i]]]] += 1
         suffix[i] = (list(accumulate(per_value, initial=0)),
                      list(accumulate(map(mul, per_value, values), initial=0)))
+    values.append(m + 1)  # past the last value no budget buys another
     out = ((1 << inst.n) - 1) ^ mask_of(candidates)
     best = 0
     # a node: next candidate, pick, thr(pick), vertices decided out, e(out)
@@ -69,7 +71,12 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
         i, pick, pick_thr, out, e_out = stack.pop()
         if stats is not None:
             stats.dual_nodes += 1
-        grow = _fitting(values, *suffix[i], m - pick_thr - e_out)
+        # F over candidates[i:]: whole values while their sum fits, then as
+        # many of the next as the rest pays for (the last value fits none)
+        counts, sums = suffix[i]
+        budget = m - pick_thr - e_out
+        j = bisect_right(sums, budget) - 1
+        grow = -1 if j < 0 else counts[j] + (budget - sums[j]) // values[j]
         if pick.bit_count() + grow <= best.bit_count():
             if stats is not None:
                 stats.bound_prunes += 1
@@ -83,19 +90,6 @@ def solve_dual_perfect(inst: Instance, d: int, stats: Optional[Stats] = None) ->
         if _peels_empty(masks, pick | 1 << v, duals):
             stack.append((i + 1, pick | 1 << v, pick_thr + thr[v], out, e_out))
     return frozenset(range(inst.n)) - members(best)
-
-
-def _fitting(values: Sequence[int], counts: Sequence[int], sums: Sequence[int],
-             budget: int) -> int:
-    """fitting() over thresholds tallied per distinct value: counts[j] and sums[j]
-    are the number and the sum of those below values[j] (the last entries: all).
-    Whole values fit while their sum does; then as many of the next as the rest
-    of the budget pays for, fewer than all of them.
-    """
-    j = bisect_right(sums, budget) - 1
-    if j < 0 or j == len(values):
-        return j if j < 0 else counts[j]
-    return counts[j] + (budget - sums[j]) // values[j]
 
 
 def _peels_empty(masks: Sequence[int], remaining: int, bound: Sequence[int]) -> bool:

@@ -1,5 +1,4 @@
 import random
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +13,8 @@ from tss import (
     oracle_min_perfect_tss,
     solve_dual_perfect,
 )
-from tss.activation import closure, fitting, mask_of, threshold_prefix
-from tss.dual_thr import _fitting, _peels_empty
+from tss.activation import closure, mask_of
+from tss.dual_thr import _peels_empty
 from tss.oracle import _peels_empty as oracle_peels_empty
 
 from helpers import complete_instance, graphs, rand_dual_instance, star_graph
@@ -133,13 +132,3 @@ def test_dual_solver_is_minimum_and_perfect(g, data):
     answer = solve_dual_perfect(inst, d)
     assert len(answer) == len(oracle_min_perfect_tss(inst))
     assert closure(inst, answer) == frozenset(range(g.n))
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(st.lists(st.integers(0, 6), max_size=12), st.integers(-3, 60))
-def test_tallied_fitting_matches_the_prefix_table(thresholds, budget):
-    values = sorted(set(thresholds))
-    per_value = [thresholds.count(x) for x in values]
-    counts = list(accumulate(per_value, initial=0))
-    sums = list(accumulate((c * x for c, x in zip(per_value, values)), initial=0))
-    assert _fitting(values, counts, sums, budget) == fitting(threshold_prefix(thresholds), budget)
