@@ -232,7 +232,8 @@ def first_reaching(
 
 def _sliced_fixpoint(nbrs: list[list[int]], thr: Sequence[int], movers: list[int],
                      masks: Sequence[int], act: list[int], full: int) -> None:
-    """Raise act to the bit-sliced activation fixpoint, in place."""
+    """Raise act to the bit-sliced activation fixpoint, in place. The ladder is
+    _at_least's, written out: a call per vertex costs the kernel half again."""
     stale = mask_of(movers)
     while stale:
         touched = 0

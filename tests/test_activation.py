@@ -243,7 +243,7 @@ def test_first_reaching_over_many_items():
     # than the recursion limit.
     inst = gen_random("gnp", 75, "const", 0, p=0.06, thr_param=2)
     masks = inst.graph.neighbor_masks()
-    # the first hits come 37th, 105th and 170th of 2,415 seeds, or never
+    # at size 2 the first hits come 37th, 105th and 170th of 2,415 seeds, or never
     for lo, hi, target in ((2, 2, 5), (2, 2, 6), (2, 2, 9), (2, 2, 71), (68, 69, 73),
                            (68, 69, 75)):
         args = (masks, inst.thr, range(70), hi, target, 0, lo)

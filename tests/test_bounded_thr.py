@@ -316,4 +316,4 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
                 full = closure(inst, state.selected | b)
                 assert projected - b == full - b, (
                     inst.graph.edges(), inst.thr, sorted(b), ctx.quota, sorted(ctx.outside))
-    assert checked > 100, checked
+    assert checked > 100
