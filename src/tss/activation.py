@@ -214,7 +214,10 @@ def first_reaching(
             width = min(CHUNK, total - lo)
             full = (1 << width) - 1
             act = [full if (base >> v) & 1 else 0 for v in range(n)]
-            lanes = _lanes(len(items), size, lo, lo + width)
+            if width == total and len(items) <= CACHED_ITEMS:
+                lanes = _level(len(items), size)
+            else:
+                lanes = _fill(len(items), size, lo, lo + width)
             for v, vec in zip(items, lanes):
                 act[v] = vec
             _sliced_fixpoint(nbrs, thr, movers, masks, act, full)
@@ -269,29 +272,24 @@ def _at_least(vecs: Iterable[int], j: int, full: int) -> int:
     return c[j]
 
 
-def _lanes(r: int, s: int, lo: int, hi: int) -> Sequence[int]:
-    """Indicator vectors of r items over lanes lo..hi-1, lane j being the j-th
-    s-subset of range(r) in lexicographic order: bit j - lo of the p-th vector
-    is set iff item p is in lane j's subset."""
-    if lo == 0 and hi == comb(r, s) and r <= CACHED_ITEMS:
-        return _level(r, s)
-    return _fill(r, s, lo, hi)
-
-
 @lru_cache(maxsize=None)
 def _level(r: int, s: int) -> tuple[int, ...]:
-    """_lanes over a whole level; levels recur across chunks and calls. Only
+    """_fill over a whole level; levels recur across chunks and calls. Only
     levels of at most CHUNK lanes over at most CACHED_ITEMS items come here:
     463 of them, 1.2 MB in all."""
     return tuple(_fill(r, s, 0, comb(r, s)))
 
 
 def _fill(r: int, s: int, lo: int, hi: int) -> list[int]:
-    """_lanes by blocks: the s-subsets whose smallest item is p come as one block,
-    p ascending, and within it item p is set and the rest of each subset runs
-    over the level (r - p - 1, s - 1) of the items after p. The blocks in range
-    are shifted and ORed in from an explicit stack, so deep levels need no
-    recursion; whole blocks over few items come from _level.
+    """Indicator vectors of r items over lanes lo..hi-1, lane j being the j-th
+    s-subset of range(r) in lexicographic order: bit j - lo of the p-th vector
+    is set iff item p is in lane j's subset.
+
+    The s-subsets whose smallest item is p come as one block, p ascending, and
+    within it item p is set and the rest of each subset runs over the level
+    (r - p - 1, s - 1) of the items after p. The blocks in range are shifted
+    and ORed in from an explicit stack, so deep levels need no recursion;
+    whole blocks over few items come from _level.
     """
     vecs = [0] * r
     todo = [(0, r, s, lo, hi, 0)]
