@@ -123,7 +123,7 @@ def closure_mask(masks: Sequence[int], thr: Sequence[int], seed_mask: int) -> in
 
 def edges_within(masks: Sequence[int], mask: int) -> int:
     """e(mask): the number of edges with both ends in the vertex mask."""
-    return sum((masks[v] & mask).bit_count() for v in members(mask)) // 2
+    return sum((masks[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
 def threshold_prefix(thresholds: Iterable[int]) -> list[int]:
@@ -156,13 +156,18 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def members(mask: int) -> frozenset[int]:
-    """The vertices whose bits are set in mask; inverse of mask_of."""
+def bits_of(mask: int) -> list[int]:
+    """The vertices whose bits are set in mask, ascending."""
     out = []
     while mask:  # one step per set bit: search masks are sparse in wide graphs
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
-    return frozenset(out)
+    return out
+
+
+def members(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in mask; inverse of mask_of."""
+    return frozenset(bits_of(mask))
 
 
 def seed_masks(
@@ -204,7 +209,7 @@ def first_reaching(
     vertices, and the lowest set bit of its result is the chunk's first hit.
     """
     n = len(masks)
-    nbrs = [sorted(members(masks[v])) for v in range(n)]
+    nbrs = [bits_of(masks[v]) for v in range(n)]
     # vertices that can activate by their neighbours at all
     movers = [v for v in range(n) if thr[v] <= len(nbrs[v]) and not (base >> v) & 1]
     tested = 0

@@ -193,11 +193,12 @@ def _load(path: str, force: bool) -> Instance:
         return parse_instance(fh.read(), force=force)
 
 
-def _query_of(inst: Instance, args, fallback: tuple = (None, None)) -> tuple[int, int]:
-    """(k, l) from the flags, else the file's query, else fallback."""
+def _query_of(inst: Instance, k: Optional[int], l: Optional[int],
+              fallback: tuple = (None, None)) -> tuple[int, int]:
+    """(k, l) from the flags k and l, else the file's query, else fallback."""
     file_k, file_l = inst.query or fallback
-    k = args.k if args.k is not None else file_k
-    l = args.l if args.l is not None else file_l
+    k = k if k is not None else file_k
+    l = l if l is not None else file_l
     if k is None or l is None:
         raise ValueError("no query: supply 'q k l' in the file or --k/--l flags")
     if k < 0 or l < 0:
@@ -260,7 +261,7 @@ def _print_stats(stats: Stats) -> None:
 
 def _cmd_solve(args) -> int:
     inst = _load(args.file, args.force)
-    k, l = _query_of(inst, args)
+    k, l = _query_of(inst, args.k, args.l)
     algo = args.algo
     if algo == "auto":
         algo = "third" if ratio_violator(inst) is None else "bounded"
@@ -382,7 +383,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _load(args.file, args.force)
     chosen = _parse_ids(args.x, inst.n)
-    k, l = _query_of(inst, args, (len(chosen), inst.n))
+    k, l = _query_of(inst, args.k, args.l, (len(chosen), inst.n))
     activated = len(closure(inst, chosen))
     ok = len(chosen) <= k and activated >= l
     verdict = "VALID" if ok else "INVALID"
@@ -424,10 +425,7 @@ def _bench_row(task: tuple) -> str:
     elif algo in ("thr2", "thr3", "dual"):
         answer, size = "YES", len(_min_perfect(inst, algo, d_flag, stats))
     else:
-        k = k_flag if k_flag is not None else (inst.query[0] if inst.query else None)
-        l = l_flag if l_flag is not None else (inst.query[1] if inst.query else None)
-        if k is None or l is None:
-            raise ValueError(f"{path}: no query for algorithm {algo}")
+        k, l = _query_of(inst, k_flag, l_flag)
         witness = _decide(inst, algo, k, l, t_flag, None, stats)
         answer = "NO" if witness is None else "YES"
         size = None if witness is None else len(witness)

@@ -43,45 +43,41 @@ def enum_minimal_pvcs(
 
     Branches partition the assignments, so the stream is duplicate-free by
     construction; a debug-mode hash set double-checks this on small inputs.
+    The branches wait on an explicit stack of (free, inside) pairs, so the
+    depth of the search is not bounded by the recursion limit.
     """
     if g.max_degree() >= t:
         raise ValueError(f"max degree {g.max_degree()} not below bound {t}")
     seen: Optional[set[frozenset[int]]] = set() if __debug__ and g.n <= 12 else None
-    for cover in _branch(g, frozenset(range(g.n)), frozenset(), stats):
-        if seen is not None:
-            assert cover not in seen, f"duplicate cover {sorted(cover)}"
-            seen.add(cover)
-        if stats is not None:
-            stats.emitted += 1
-        yield cover
-
-
-def _branch(
-    g: Graph, free: frozenset[int], inside: frozenset[int], stats: Optional[Stats]
-) -> Iterator[frozenset[int]]:
     nbr = g.neighbor_sets()
-    pivot = -1
-    for v in sorted(free):
-        if nbr[v] <= free:
-            pivot = v
-            break
-    if pivot >= 0:
+    stack = [(frozenset(range(g.n)), frozenset())]
+    while stack:
+        free, inside = stack.pop()
+        pivot = next((v for v in sorted(free) if nbr[v] <= free), None)
+        if pivot is not None:
+            if stats is not None:
+                stats.branch_nodes += 1
+            closed = sorted(nbr[pivot] | {pivot})
+            rest = free - frozenset(closed)
+            # pushed last-first, the children pop in increasing mask order
+            for mask in reversed(range((1 << len(closed)) - 1)):
+                taken = frozenset(v for i, v in enumerate(closed) if (mask >> i) & 1)
+                stack.append((rest, inside | taken))
+            continue
+        rest = sorted(free)
         if stats is not None:
-            stats.branch_nodes += 1
-        closed = sorted(nbr[pivot] | {pivot})
-        full = (1 << len(closed)) - 1
-        for mask in range(full):
-            taken = frozenset(closed[i] for i in range(len(closed)) if (mask >> i) & 1)
-            yield from _branch(g, free - frozenset(closed), inside | taken, stats)
-        return
-    rest = sorted(free)
-    if stats is not None:
-        stats.leaf_nodes += 1
-        stats.leaf_subsets += 1 << len(rest)
-    for mask in range(1 << len(rest)):
-        cand = inside | frozenset(rest[i] for i in range(len(rest)) if (mask >> i) & 1)
-        if is_minimal_pvc(g, cand):
-            yield cand
+            stats.leaf_nodes += 1
+            stats.leaf_subsets += 1 << len(rest)
+        for mask in range(1 << len(rest)):
+            cover = inside | frozenset(rest[i] for i in range(len(rest)) if (mask >> i) & 1)
+            if not is_minimal_pvc(g, cover):
+                continue
+            if seen is not None:
+                assert cover not in seen, f"duplicate cover {sorted(cover)}"
+                seen.add(cover)
+            if stats is not None:
+                stats.emitted += 1
+            yield cover
 
 
 def leaf_count_log2_bound(n: int, t: int) -> float:

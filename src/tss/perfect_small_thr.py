@@ -21,8 +21,8 @@ from math import floor
 from typing import Optional
 
 from .activation import (
-    closure_mask, edges_within, fitting, is_perfect_target_set, mask_of, members, seed_masks,
-    threshold_prefix,
+    bits_of, closure_mask, edges_within, fitting, is_perfect_target_set, mask_of, members,
+    seed_masks, threshold_prefix,
 )
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .bounded_thr import Split, br1_split, branch_and_reduce
@@ -84,101 +84,99 @@ def _solve_small_thr(inst: Instance, t: int, stats: Optional[Stats]) -> frozense
         part1_max = floor((1.0 - (2.0 / 3.0) * PART1_GAMMA_THR3) * eq.n)
     if stats is not None:
         stats.part1_max_size = part1_max
-    best = _min_perfect_equal(eq, t, part1_max, stats)
+    best = members(_min_perfect_equal(eq, t, part1_max, stats))
     answer = frozenset(v for v in best if v < inst.n)
     assert len(answer) == len(best) - t * t
     assert is_perfect_target_set(inst, answer)
     return answer
 
 
-def _min_perfect_equal(
-    eq: Instance, t: int, part1_max: int, stats: Optional[Stats]
-) -> frozenset[int]:
-    """Minimum perfect target set of an equalized (thr == t everywhere) gadget instance."""
+def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Stats]) -> int:
+    """Mask of a minimum perfect target set of an equalized (thr == t everywhere)
+    gadget instance."""
     n = eq.n
     thr = eq.thr
     masks = eq.graph.neighbor_masks()
     n_orig = n - t * (t + 1)
-    leaves = frozenset(
-        v for v in range(n_orig, n) if (v - n_orig) % (t + 1) != 0
-    )
+    leaves = mask_of(v for v in range(n_orig, n) if (v - n_orig) % (t + 1) != 0)
     full_mask = (1 << n) - 1
     m = eq.graph.m
     prefix = threshold_prefix(thr)
 
-    def lower(selected: frozenset[int]) -> int:
+    def lower(selected: int) -> int:
         # the counting bound; every threshold is t, so the table of all n serves
         # once F is capped at the n - |selected| vertices outside selected
-        budget = m - edges_within(masks, mask_of(selected))
-        return n - min(fitting(prefix, budget), n - len(selected))
+        budget = m - edges_within(masks, selected)
+        return n - min(fitting(prefix, budget), n - selected.bit_count())
 
     # Part 1: ascending brute force from the counting bound up to part1_max. Star
     # leaves (one neighbor, threshold t >= 2) sit in every perfect target set; what
     # they activate seeds every candidate, and a minimum set holds none of it, so
     # the rest is enumerated.
-    forced = closure_mask(masks, thr, mask_of(leaves))
-    others = [v for v in range(n) if not (forced >> v) & 1]
+    forced = closure_mask(masks, thr, leaves)
+    others = bits_of(full_mask & ~forced)
     for seed in seed_masks(others, part1_max - t * t, forced, lower(leaves) - t * t):
         if closure_mask(masks, thr, seed) == full_mask:
             if stats is not None:
                 stats.part1_found = True
-            return leaves | members(seed & ~forced)
+            return leaves | (seed & ~forced)
 
     # Part 2: branch and reduce; the incumbent starts at the full vertex set.
-    nbr = eq.graph.neighbor_sets()
     deg = [eq.graph.degree(v) for v in range(n)]
-    best = frozenset(range(n))
+    low_degree = mask_of(v for v in range(n) if deg[v] < t)
+    degree_three = mask_of(v for v in range(n) if deg[v] == 3)
+    degree_four = mask_of(v for v in range(n) if deg[v] == 4)
+    best = full_mask
 
-    def rr3(free: frozenset[int]) -> frozenset[int]:
-        low = frozenset(v for v in free if deg[v] < t)
+    def rr3(free: int) -> int:
+        low = free & low_degree
         if stats is not None:
-            stats.rr3_moves += len(low)
+            stats.rr3_moves += low.bit_count()
         return low
 
-    def prune(selected: frozenset[int], free: frozenset[int], act: int) -> bool:
-        if lower(selected) >= len(best):
+    def prune(selected: int, free: int, act: int) -> bool:
+        if lower(selected) >= best.bit_count():
             if stats is not None:
                 stats.bound_prunes += 1
             return True
-        return closure_mask(masks, thr, act | mask_of(free)) != full_mask
+        return closure_mask(masks, thr, act | free) != full_mask
 
-    def r4(free: frozenset[int]) -> Split:
+    def r4(free: int) -> Split:
         for u, v in eq.graph.edges():
-            if u in free and v in free and deg[u] == deg[v] == t:
+            if (free >> u) & (free >> v) & 1 and deg[u] == deg[v] == t:
                 if stats is not None:
                     stats.r4_apps += 1
                     stats.r4_children.append(3)
-                return frozenset({u, v}), [frozenset({v}), frozenset({u}), frozenset({u, v})]
+                return 1 << u | 1 << v, [1 << v, 1 << u, 1 << u | 1 << v]
         return None
 
-    def r5(free: frozenset[int]) -> Split:
-        for v in sorted(free):
-            if deg[v] != 4:
-                continue
-            mates = sorted(u for u in nbr[v] & free if deg[u] == 3)
+    def r5(free: int) -> Split:
+        for v in bits_of(free & degree_four):
+            mates = bits_of(masks[v] & free & degree_three)
             if len(mates) >= 2:
                 trio = sorted((mates[0], v, mates[1]))
-                children = list(map(members, seed_masks(trio, 3)))[1:]
+                children = list(seed_masks(trio, 3))[1:]
                 if stats is not None:
                     stats.r5_apps += 1
                     stats.r5_children.append(len(children))
-                return frozenset(trio), children
+                return mask_of(trio), children
         return None
 
-    def leaf(selected: frozenset[int], free: frozenset[int], act: int) -> None:
+    def leaf(selected: int, free: int, act: int) -> None:
         # act, the closure of selected, seeds every candidate; the witness keeps selected
         nonlocal best
         if t == 2:
             # with no rule applicable the already-decided part activates everything
-            assert closure_mask(masks, thr, act | (full_mask & ~mask_of(free))) == full_mask
+            assert closure_mask(masks, thr, act | (full_mask & ~free)) == full_mask
         if stats is not None:
             stats.leaf_bruteforces += 1
-        low = lower(selected) - len(selected)
-        for seed in seed_masks(sorted(free), len(best) - len(selected) - 1, act, low):
+        size = selected.bit_count()
+        for seed in seed_masks(bits_of(free), best.bit_count() - size - 1, act,
+                               lower(selected) - size):
             if closure_mask(masks, thr, seed) == full_mask:
-                best = selected | members(seed & ~act)
+                best = selected | (seed & ~act)
                 return
 
-    rules = [lambda free: br1_split(nbr, thr, free, stats), r4] + ([r5] if t == 3 else [])
+    rules = [lambda free: br1_split(masks, thr, free, stats), r4] + ([r5] if t == 3 else [])
     branch_and_reduce(masks, thr, rules, prune, leaf, stats, rr3)
     return best

@@ -18,11 +18,8 @@ from tss import (
     solve_bounded,
     stage3_dp,
 )
-from tss.bounded_thr import (
-    SearchState,
-    _Ctx,
-    is_activated_round,
-)
+from tss.activation import mask_of, members
+from tss.bounded_thr import _Ctx, is_activated_round
 from tss.stats import Stats
 
 from helpers import complete_instance, rand_gnp_instance
@@ -160,10 +157,10 @@ def test_br1_split_children_in_size_then_lexicographic_order():
     g = Graph(41, [(3, 9), (3, 20), (3, 40), (3, 30)])
     thr = [1] * 41
     thr[3] = 3
-    group, children = bounded_thr.br1_split(g.neighbor_sets(), thr,
-                                            frozenset({3, 9, 20, 30, 40}))
-    assert group == {3, 9, 20, 30}
-    assert [(sorted(sel), sorted(group - sel)) for sel in children] == [
+    group, children = bounded_thr.br1_split(g.neighbor_masks(), thr,
+                                            mask_of({3, 9, 20, 30, 40}))
+    assert members(group) == {3, 9, 20, 30}
+    assert [(sorted(members(sel)), sorted(members(group & ~sel))) for sel in children] == [
         ([], [3, 9, 20, 30]),
         ([3], [9, 20, 30]), ([9], [3, 20, 30]), ([20], [3, 9, 30]), ([30], [3, 9, 20]),
         ([3, 9], [20, 30]), ([3, 20], [9, 30]), ([3, 30], [9, 20]),
@@ -192,29 +189,28 @@ def test_quota_branch_child_counts_and_pair_bound():
 def _four_vertex_leaf_parts():
     # 0 excluded (thr 2), 1 selected, 2 and 3 free; only 0-1 and 0-2 edges
     inst = Instance(Graph(4, [(0, 1), (0, 2)]), (2, 0, 1, 1))
-    state = SearchState(frozenset({1}), frozenset({0}), frozenset({2, 3}))
-    return inst, state
+    return inst, mask_of({2, 3})
 
 
 def test_round_procedure_free_vertices_never_branch():
-    inst, state = _four_vertex_leaf_parts()
-    ctx = _Ctx(frozenset())
-    projected = frozenset({0, 1})
+    inst, free = _four_vertex_leaf_parts()
+    ctx = _Ctx(0)
+    projected = mask_of({0, 1})
     # free vertex with threshold met: activated without any branching
-    assert is_activated_round(inst, state, projected, 2, ctx) is True
+    assert is_activated_round(inst, free, projected, 2, ctx) is True
     # free vertex short of its threshold: not activated, again no branching
     inst2 = Instance(inst.graph, (2, 0, 2, 1))
-    assert is_activated_round(inst2, state, projected, 2, ctx) is False
+    assert is_activated_round(inst2, free, projected, 2, ctx) is False
 
 
 def test_round_procedure_excluded_vertex_branches_on_quota():
-    inst, state = _four_vertex_leaf_parts()
-    projected = frozenset({1})
-    assert is_activated_round(inst, state, projected, 0, _Ctx(frozenset())) == ("quota", 0)
+    inst, free = _four_vertex_leaf_parts()
+    projected = mask_of({1})
+    assert is_activated_round(inst, free, projected, 0, _Ctx(0)) == ("quota", 0)
     # promised one hidden selected neighbor: 1 exact + 1 promised meets thr 2
-    assert is_activated_round(inst, state, projected, 0, _Ctx(frozenset(), {0: 1})) is True
+    assert is_activated_round(inst, free, projected, 0, _Ctx(0, {0: 1})) is True
     # promised none: stays below threshold, no undecided neighbors to consult
-    assert is_activated_round(inst, state, projected, 0, _Ctx(frozenset(), {0: 0})) is False
+    assert is_activated_round(inst, free, projected, 0, _Ctx(0, {0: 0})) is False
     # each subbranch matches the true process for a selection realizing the promise
     assert 0 in closure(inst, {1, 2})   # |N(0) ∩ B| = 1 realizes promise 1
     assert 0 not in closure(inst, {1})  # promise 0
@@ -224,16 +220,25 @@ def test_round_procedure_membership_branch():
     # excluded vertex 0 needs 3 activated neighbors: one exact (selected 1),
     # one promised, and the projected free neighbor 2 only if it is not hidden
     inst = Instance(Graph(5, [(0, 1), (0, 2), (0, 4)]), (3, 0, 1, 1, 1))
-    state = SearchState(frozenset({1}), frozenset({0}), frozenset({2, 3, 4}))
-    projected = frozenset({1, 2})
-    ctx = _Ctx(frozenset(), {0: 1})
-    assert is_activated_round(inst, state, projected, 0, ctx) == ("member", 2)
+    free = mask_of({2, 3, 4})
+    projected = mask_of({1, 2})
+    ctx = _Ctx(0, {0: 1})
+    assert is_activated_round(inst, free, projected, 0, ctx) == ("member", 2)
     assert is_activated_round(
-        inst, state, projected, 0, _Ctx(frozenset(), {0: 1}, outside=frozenset({2}))
+        inst, free, projected, 0, _Ctx(0, {0: 1}, outside=mask_of({2}))
     ) is True
     assert is_activated_round(
-        inst, state, projected, 0, _Ctx(frozenset(), {0: 1}, inside=frozenset({2}))
+        inst, free, projected, 0, _Ctx(0, {0: 1}, inside=mask_of({2}))
     ) is False
+    # two undecided projected free neighbors, with ids past a small set's hash
+    # table size: the branch names the lowest, 9, then 40 once 9 is decided
+    inst = Instance(Graph(41, [(0, 1), (0, 9), (0, 40)]), (4,) + (1,) * 40)
+    free = mask_of({9, 40})
+    projected = mask_of({1, 9, 40})
+    assert is_activated_round(inst, free, projected, 0, _Ctx(0, {0: 1})) == ("member", 9)
+    assert is_activated_round(
+        inst, free, projected, 0, _Ctx(0, {0: 1}, outside=mask_of({9}))
+    ) == ("member", 40)
 
 
 def test_round_replay_resumes_at_each_decision(monkeypatch):
@@ -257,21 +262,21 @@ def test_round_replay_resumes_at_each_decision(monkeypatch):
 
 def test_dp_base_row_immediately_feasible():
     inst = Instance(Graph(2, [(0, 1)]), (0, 5))
-    state = SearchState(frozenset({0}), frozenset(), frozenset({1}))
-    assert stage3_dp(inst, state, _Ctx(frozenset()), frozenset({0}), 2, 1) == frozenset()
+    # selected {0}, free {1}
+    assert stage3_dp(inst, 0b01, 0b10, _Ctx(0), 0b01, 2, 1) == 0
 
 
 def test_dp_forced_pick_meets_promise():
     # excluded vertex 0 promised one hidden neighbor; vertex 1 is its only candidate
     inst = Instance(Graph(3, [(0, 1)]), (1, 5, 0))
-    state = SearchState(frozenset({2}), frozenset({0}), frozenset({1}))
-    assert stage3_dp(inst, state, _Ctx(frozenset(), {0: 1}), frozenset({0, 2}), 3, 2) == {1}
+    # selected {2}, excluded {0}, free {1}
+    assert stage3_dp(inst, 0b100, 0b010, _Ctx(0, {0: 1}), 0b101, 3, 2) == 0b010
 
 
 def test_dp_infeasible_promise():
     inst = Instance(Graph(3, [(0, 1)]), (2, 5, 0))
-    state = SearchState(frozenset({2}), frozenset({0}), frozenset({1}))
-    assert stage3_dp(inst, state, _Ctx(frozenset(), {0: 2}), frozenset({2}), 3, 0) is None
+    # selected {2}, excluded {0}, free {1}
+    assert stage3_dp(inst, 0b100, 0b010, _Ctx(0, {0: 2}), 0b100, 3, 0) is None
 
 
 def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch):
@@ -279,12 +284,12 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
     # the projected set and the true activated set agree off the selection;
     # stage 3 runs once per leaf, so wrapping it collects every leaf, and
     # answering None there makes the search walk all of them
-    leaves: list[tuple[SearchState, _Ctx, frozenset[int]]] = []
+    leaves: list[tuple[int, int, _Ctx, int]] = []
     original = bounded_thr.stage3_dp
 
-    def recording(inst, state, ctx, projected, *args):
-        leaves.append((state, ctx, projected))
-        original(inst, state, ctx, projected, *args)
+    def recording(inst, selected, free, ctx, projected, *args):
+        leaves.append((selected, free, ctx, projected))
+        original(inst, selected, free, ctx, projected, *args)
 
     monkeypatch.setattr(bounded_thr, "stage3_dp", recording)
     rng = random.Random(909)
@@ -296,15 +301,14 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
         leaves.clear()
         solve_bounded(inst, n, n, t, gamma=0.0)
         nbr = inst.graph.neighbor_sets()
-        for state, ctx, projected in leaves[:40]:
-            free = state.free
-            rest = sorted(free - ctx.inside - ctx.outside)
-            sub_g, ids = inst.graph.induced(free)
+        for selected, free, ctx, projected in leaves[:40]:
+            rest = sorted(members(free & ~ctx.inside & ~ctx.outside))
+            sub_g, ids = inst.graph.induced(members(free))
             to_local = {old: new for new, old in enumerate(ids)}
-            cover_local = frozenset(to_local[v] for v in ctx.cover)
+            cover_local = frozenset(to_local[v] for v in members(ctx.cover))
             cover_edges = covered_edges(sub_g, cover_local)
             for _ in range(12):
-                b = set(ctx.inside) | {u for u in rest if rng.random() < 0.5}
+                b = set(members(ctx.inside)) | {u for u in rest if rng.random() < 0.5}
                 if covered_edges(sub_g, frozenset(to_local[v] for v in b)) != cover_edges:
                     continue
                 if any(
@@ -313,7 +317,7 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
                 ):
                     continue
                 checked += 1
-                full = closure(inst, state.selected | b)
-                assert projected - b == full - b, (
-                    inst.graph.edges(), inst.thr, sorted(b), ctx.quota, sorted(ctx.outside))
+                full = closure(inst, members(selected) | b)
+                assert members(projected) - b == full - b, (
+                    inst.graph.edges(), inst.thr, sorted(b), ctx.quota, bin(ctx.outside))
     assert checked > 100

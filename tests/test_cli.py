@@ -122,6 +122,13 @@ def test_enum_mpvc_count_only(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == "5"
 
 
+def test_enum_mpvc_count_only_on_a_deep_edgeless_graph(tmp_path, capsys):
+    text = "p tss 1000 0\n" + "".join(f"t {v} 1\n" for v in range(1, 1001))
+    path = _write(tmp_path, "iso.tss", text)
+    assert run(["enum-mpvc", path, "--t", "1", "--count-only"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_enum_mpvc_lines(tmp_path, capsys):
     path = _write(tmp_path, "p3.tss", P3)
     assert run(["enum-mpvc", path, "--t", "3"]) == 0
@@ -299,6 +306,11 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                  ["perfect", k3, "--jobs", "2"], ["perfect", k3, "--seed", "1"],
                  ["bench", k3, "--seed", "1"]):
         assert run(argv) == 2
+    # bench takes its query as solve does: flags, else the file's
+    noq = _write(tmp_path, "noq.tss", "p tss 1 0\nt 1 0\n")
+    capsys.readouterr()
+    assert run(["bench", noq, "--algo", "bounded"]) == 2
+    assert "no query" in capsys.readouterr().err
 
 
 def test_dual_answers_a_deep_path(tmp_path, capsys):

@@ -49,6 +49,11 @@ def test_enum_edgeless():
     assert list(enum_minimal_pvcs(Graph(4, []), 1)) == [frozenset()]
 
 
+def test_enum_branches_deeper_than_the_recursion_limit():
+    # every isolated vertex is a branch node, one level each: 1,000 levels
+    assert list(enum_minimal_pvcs(Graph(1000, []), 1)) == [frozenset()]
+
+
 def test_enum_rejects_degree_violation():
     with pytest.raises(ValueError):
         list(enum_minimal_pvcs(Graph(3, [(0, 1), (1, 2)]), 2))

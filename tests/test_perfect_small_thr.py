@@ -12,6 +12,7 @@ from tss import (
     gadget_bounded_to_equal,
     is_perfect_target_set,
     oracle_min_perfect_tss,
+    solve_bounded,
     solve_perfect_thr2,
     solve_perfect_thr3,
 )
@@ -241,3 +242,23 @@ def test_thr2_thr3_agree_with_oracle(case):
     got = (solve_perfect_thr2 if t == 2 else solve_perfect_thr3)(inst)
     assert len(got) == len(oracle_min_perfect_tss(inst))
     assert is_perfect_target_set(inst, got)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.data())
+def test_relabelling_changes_no_answer(data):
+    # renaming the vertices may change which answer each search finds first,
+    # never the perfect minimum or whether a decision query has an answer
+    t, inst = data.draw(_bounded_instances())
+    perm = data.draw(st.permutations(range(inst.n)))
+    thr = [0] * inst.n
+    for v in range(inst.n):
+        thr[perm[v]] = inst.thr[v]
+    renamed = Instance(Graph(inst.n, [(perm[u], perm[v]) for u, v in inst.graph.edges()]),
+                       tuple(thr))
+    solve = solve_perfect_thr2 if t == 2 else solve_perfect_thr3
+    assert len(solve(renamed)) == len(solve(inst))
+    k, l = data.draw(st.integers(0, inst.n)), data.draw(st.integers(0, inst.n))
+    for gamma in (0.0, None):
+        assert ((solve_bounded(renamed, k, l, t, gamma=gamma) is None)
+                == (solve_bounded(inst, k, l, t, gamma=gamma) is None))
