@@ -207,39 +207,47 @@ def stage3_dp(inst: Instance, selected: int, free: int, ctx: _Ctx, projected: in
     )
     outside_score = (projected & ~undecided).bit_count()
     in_proj = [(projected >> u) & 1 for u in rest]
-    memo: dict[tuple, Optional[int]] = {}
 
-    def rec(i: int, p: int, d: tuple[int, ...]) -> Optional[int]:
-        if any(dj > cj for dj, cj in zip(d, caps)):
-            return None
-        key = (i, p, d)
-        if key in memo:
-            return memo[key]
+    def fits(d: tuple[int, ...]) -> bool:
+        return all(dj <= cj for dj, cj in zip(d, caps))
+
+    def count(layer) -> None:
         if stats is not None:
-            stats.dp_states += 1
-            for v, dj, cj in zip(constrained, d, caps):
-                stats.pair_variants.setdefault(v, set()).add((dj, cj))
-        if i == len(rest):
-            result = 0 if d == caps and p + outside_score >= l else None
-        else:
-            u = rest[i]
-            d_take = tuple(
-                min(inst.thr[v], dj + ((masks[v] >> u) & 1))
-                for v, dj in zip(constrained, d)
-            )
-            sub = rec(i + 1, min(p + 1, l), d_take)
-            take = None if sub is None else sub | 1 << u
-            skip = rec(i + 1, min(p + in_proj[i], l), d)
-            if take is None:
-                result = skip
-            elif skip is None:
-                result = take
-            else:
-                result = skip if skip.bit_count() <= take.bit_count() else take
-        memo[key] = result
-        return result
+            stats.dp_states += len(layer)
+            for _, d in layer:
+                for v, dj, cj in zip(constrained, d, caps):
+                    stats.pair_variants.setdefault(v, set()).add((dj, cj))
 
-    picks = rec(0, 0, d_start)
+    # forward: the reachable (p, d) states of each index within the caps, with
+    # their (take, skip) successors; take is None where it breaks a quota
+    start = (0, d_start)
+    layer = [start] if fits(d_start) else []
+    steps: list[dict] = []
+    for i, u in enumerate(rest):
+        count(layer)
+        hits = [(masks[v] >> u) & 1 for v in constrained]
+        step = {}
+        for p, d in layer:
+            d_take = tuple(min(inst.thr[v], dj + h) for v, dj, h in zip(constrained, d, hits))
+            take = (min(p + 1, l), d_take) if fits(d_take) else None
+            step[(p, d)] = (take, (min(p + in_proj[i], l), d))
+        steps.append(step)
+        layer = list(dict.fromkeys(s for pair in step.values() for s in pair if s is not None))
+    count(layer)
+    # backward: the fewest picks completing each state, skipping a vertex on ties
+    best = {s: 0 if s[1] == caps and s[0] + outside_score >= l else None for s in layer}
+    for u, step in zip(reversed(rest), reversed(steps)):
+        prev = {}
+        for s, (take_s, skip_s) in step.items():
+            take = None if take_s is None or best[take_s] is None else best[take_s] | 1 << u
+            skip = best[skip_s]
+            if take is None or (skip is not None and skip.bit_count() <= take.bit_count()):
+                prev[s] = skip
+            else:
+                prev[s] = take
+        best = prev
+
+    picks = best.get(start)
     if picks is None or (selected | ctx.inside).bit_count() + picks.bit_count() > k:
         return None
     return picks

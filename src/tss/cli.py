@@ -12,7 +12,6 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from math import log2
 from typing import Optional, Sequence
 
@@ -22,41 +21,16 @@ from .degree_ratio import construct_small_pts, ratio_violator, solve_ratio_tss
 from .dual_thr import solve_dual_perfect
 from .instance import Instance, InstanceFormatError, gen_random, parse_instance, write_instance
 from .mpvc import enum_minimal_pvcs, leaf_count_log2_bound
-from .oracle import oracle_min_perfect_tss, oracle_tss_decision
+from .oracle import oracle_tss_decision
 from .perfect_small_thr import solve_perfect_thr2, solve_perfect_thr3
 from .reductions import reduce_clique_to_tss
 from .stats import Stats
 
 
-@dataclass
-class SolveReport:
-    """One solver run, ready for text or JSON emission."""
-
-    answer: str                      # "YES" or "NO"
-    witness: Optional[list[int]]     # sorted 1-based ids
-    activated_count: Optional[int]
-    algorithm: str
-    elapsed_ms: float
-    stats: Optional[Stats]           # None unless --stats
-
-    def text(self) -> str:
-        if self.answer == "NO":
-            return "NO"
-        ids = ",".join(str(v) for v in self.witness or [])
-        return f"YES size={len(self.witness or [])} set={ids}"
-
-    def json_line(self) -> str:
-        return json.dumps(
-            {
-                "answer": self.answer,
-                "size": None if self.witness is None else len(self.witness),
-                "witness": self.witness,
-                "activated": self.activated_count,
-                "algorithm": self.algorithm,
-                "elapsed_ms": round(self.elapsed_ms, 3),
-                "stats": {} if self.stats is None else self.stats.as_dict(),
-            }
-        )
+# The solvers each subcommand can name; thr2, thr3 and dual find minimum perfect target sets.
+DECISION_ALGOS = ("oracle", "bounded", "third")
+PERFECT_ALGOS = ("oracle", "thr2", "thr3", "dual")
+BENCH_ALGOS = tuple(dict.fromkeys((*DECISION_ALGOS, *PERFECT_ALGOS, "enum-mpvc")))
 
 
 def main() -> None:
@@ -89,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide a (budget, target) query")
     p_solve.add_argument("file")
     p_solve.add_argument("--algo", default="auto",
-                         choices=["oracle", "bounded", "third", "auto"])
+                         choices=[*DECISION_ALGOS, "auto"])
     p_solve.add_argument("--t", type=int, default=None,
                          help="threshold bound for --algo bounded (default: max threshold)")
     p_solve.add_argument("--gamma", type=float, default=None,
@@ -101,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_perfect = sub.add_parser("perfect", help="minimum perfect target set")
     p_perfect.add_argument("file")
     p_perfect.add_argument("--algo", default="auto",
-                           choices=["oracle", "thr2", "thr3", "dual", "auto"])
+                           choices=[*PERFECT_ALGOS, "auto"])
     p_perfect.add_argument("--d", type=int, default=None,
                            help="dual bound for --algo dual (default: max dual value)")
     _common_flags(p_perfect)
@@ -159,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="CSV benchmark over instances and algorithms")
     p_bench.add_argument("files", nargs="+")
     p_bench.add_argument("--algo", default="oracle",
-                         help="comma-separated: oracle,bounded,third,thr2,thr3,dual,enum-mpvc")
+                         help=f"comma-separated: {','.join(BENCH_ALGOS)}")
     p_bench.add_argument("--t", type=int, default=None)
     p_bench.add_argument("--d", type=int, default=None)
     p_bench.add_argument("--jobs", type=int, default=1)
@@ -218,40 +192,59 @@ def _parse_ids(text: str, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _decide(inst: Instance, algo: str, k: int, l: int, t: Optional[int],
-            gamma: Optional[float], stats: Optional[Stats]) -> Optional[frozenset[int]]:
-    """Run the decision solver named algo ("oracle", "third" or "bounded").
+def _answer(inst: Instance, algo: str, k: int, l: int, stats: Optional[Stats], *,
+            t: Optional[int] = None, d: Optional[int] = None,
+            gamma: Optional[float] = None) -> tuple[Optional[frozenset[int]], Optional[int], float]:
+    """Ask the solver named algo for at most k vertices activating at least l.
 
+    Returns (witness or None, activated count or None, solver ms). A minimum
+    perfect target set answers the query (n, n), so callers pass that query to
+    thr2, thr3 and dual. Every witness is re-verified with one closure call.
     Solvers are module globals looked up at call time, so a rebound name applies.
     """
+    start = time.perf_counter()
     if algo == "oracle":
-        return oracle_tss_decision(inst, k, l)
-    if algo == "third":
-        return solve_ratio_tss(inst, k, l)
-    t = t if t is not None else max(1, inst.max_threshold())
-    return solve_bounded(inst, k, l, t, gamma=gamma, stats=stats)
+        witness = oracle_tss_decision(inst, k, l)
+    elif algo == "third":
+        witness = solve_ratio_tss(inst, k, l)
+    elif algo == "bounded":
+        t = t if t is not None else max(1, inst.max_threshold())
+        witness = solve_bounded(inst, k, l, t, gamma=gamma, stats=stats)
+    elif algo == "thr2":
+        witness = solve_perfect_thr2(inst, stats)
+    elif algo == "thr3":
+        witness = solve_perfect_thr3(inst, stats)
+    else:
+        d = d if d is not None else max(0, max(inst.dual_values(), default=0))
+        witness = solve_dual_perfect(inst, d, stats)
+    ms = (time.perf_counter() - start) * 1000
+    if witness is None:
+        return None, None, ms
+    activated = len(closure(inst, witness))
+    if len(witness) > k or activated < l:
+        raise RuntimeError("internal: witness failed re-verification")
+    return witness, activated, ms
 
 
-def _min_perfect(inst: Instance, algo: str, d: Optional[int],
-                 stats: Optional[Stats]) -> frozenset[int]:
-    """Run the perfect-set solver named algo ("oracle", "thr2", "thr3" or "dual")."""
-    if algo == "oracle":
-        return oracle_min_perfect_tss(inst)
-    if algo == "thr2":
-        return solve_perfect_thr2(inst, stats)
-    if algo == "thr3":
-        return solve_perfect_thr3(inst, stats)
-    d = d if d is not None else max(0, max(inst.dual_values(), default=0))
-    return solve_dual_perfect(inst, d, stats)
-
-
-def _emit(report: SolveReport, args) -> None:
+def _emit(args, algo: str, witness: Optional[frozenset[int]], activated: Optional[int],
+          ms: float, stats: Optional[Stats]) -> int:
+    """Print one answer as text or JSON; the exit code is 0 for YES and 1 for NO."""
+    ids = None if witness is None else sorted(v + 1 for v in witness)
     if args.as_json:
-        print(report.json_line())
-        return
-    print(report.text())
-    if report.stats is not None:
-        _print_stats(report.stats)
+        print(json.dumps({
+            "answer": "NO" if ids is None else "YES",
+            "size": None if ids is None else len(ids),
+            "witness": ids,
+            "activated": activated,
+            "algorithm": algo,
+            "elapsed_ms": round(ms, 3),
+            "stats": {} if stats is None else stats.as_dict(),
+        }))
+    else:
+        print("NO" if ids is None else f"YES size={len(ids)} set={','.join(map(str, ids))}")
+        if stats is not None:
+            _print_stats(stats)
+    return 1 if witness is None else 0
 
 
 def _print_stats(stats: Stats) -> None:
@@ -266,18 +259,7 @@ def _cmd_solve(args) -> int:
     if algo == "auto":
         algo = "third" if ratio_violator(inst) is None else "bounded"
     stats = Stats() if args.stats else None
-    start = time.perf_counter()
-    witness = _decide(inst, algo, k, l, args.t, args.gamma, stats)
-    elapsed = (time.perf_counter() - start) * 1000
-    if witness is None:
-        _emit(SolveReport("NO", None, None, algo, elapsed, stats), args)
-        return 1
-    activated = len(closure(inst, witness))
-    if len(witness) > k or activated < l:
-        raise RuntimeError("internal: witness failed re-verification")
-    report = SolveReport("YES", sorted(v + 1 for v in witness), activated, algo, elapsed, stats)
-    _emit(report, args)
-    return 0
+    return _emit(args, algo, *_answer(inst, algo, k, l, stats, t=args.t, gamma=args.gamma), stats)
 
 
 def _cmd_perfect(args) -> int:
@@ -287,14 +269,7 @@ def _cmd_perfect(args) -> int:
         top = inst.max_threshold()
         algo = "thr2" if top <= 2 else ("thr3" if top <= 3 else "dual")
     stats = Stats() if args.stats else None
-    start = time.perf_counter()
-    answer = _min_perfect(inst, algo, args.d, stats)
-    elapsed = (time.perf_counter() - start) * 1000
-    if len(closure(inst, answer)) != inst.n:
-        raise RuntimeError("internal: perfect target set failed re-verification")
-    report = SolveReport("YES", sorted(v + 1 for v in answer), inst.n, algo, elapsed, stats)
-    _emit(report, args)
-    return 0
+    return _emit(args, algo, *_answer(inst, algo, inst.n, inst.n, stats, d=args.d), stats)
 
 
 def _cmd_simulate(args) -> int:
@@ -396,17 +371,18 @@ BENCH_HEADER = "instance,n,m,algo,answer,size,leaves,dp_states,ms"
 
 def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
-    known = {"oracle", "bounded", "third", "thr2", "thr3", "dual", "enum-mpvc"}
     for a in algos:
-        if a not in known:
+        if a not in BENCH_ALGOS:
             raise ValueError(f"unknown bench algorithm {a!r}")
     tasks = [
         (path, algo, args.t, args.d, args.k, args.l, args.force)
         for path in args.files
         for algo in algos
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # every worker of a pool is started at its first task, so ask for no more than there are rows
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_row, tasks))
     else:
         rows = [_bench_row(task) for task in tasks]
@@ -418,20 +394,19 @@ def _bench_row(task: tuple) -> str:
     path, algo, t_flag, d_flag, k_flag, l_flag, force = task
     inst = _load(path, force)
     stats = Stats()
-    start = time.perf_counter()
     if algo == "enum-mpvc":
+        start = time.perf_counter()
         t = t_flag if t_flag is not None else inst.graph.max_degree() + 1
         answer, size = "YES", sum(1 for _ in enum_minimal_pvcs(inst.graph, t, stats))
-    elif algo in ("thr2", "thr3", "dual"):
-        answer, size = "YES", len(_min_perfect(inst, algo, d_flag, stats))
+        ms = (time.perf_counter() - start) * 1000
+        leaves = stats.leaf_nodes
     else:
-        k, l = _query_of(inst, k_flag, l_flag)
-        witness = _decide(inst, algo, k, l, t_flag, None, stats)
+        k, l = _query_of(inst, k_flag, l_flag) if algo in DECISION_ALGOS else (inst.n, inst.n)
+        witness, _, ms = _answer(inst, algo, k, l, stats, t=t_flag, d=d_flag)
         answer = "NO" if witness is None else "YES"
         size = None if witness is None else len(witness)
-    ms = (time.perf_counter() - start) * 1000
+        leaves = stats.br2_leaves + stats.stage2_leaves
     size_text = "" if size is None else str(size)
-    leaves = stats.leaf_nodes if algo == "enum-mpvc" else stats.br2_leaves + stats.stage2_leaves
     return (
         f"{path},{inst.n},{inst.graph.m},{algo},{answer},{size_text},"
         f"{leaves},{stats.dp_states},{ms:.1f}"

@@ -37,14 +37,11 @@ def oracle_tss_decision(inst: Instance, k: int, l: int) -> Optional[frozenset[in
 
 
 def oracle_min_perfect_tss(inst: Instance) -> frozenset[int]:
-    """Minimum-cardinality perfect target set; ties go to the lexicographically smallest."""
-    _check_scale(inst.n)
-    n = inst.n
-    for size in range(n + 1):
-        for sub in combinations(range(n), size):
-            if len(closure(inst, sub)) == n:
-                return frozenset(sub)
-    return frozenset(range(n))
+    """Minimum-cardinality perfect target set; ties go to the lexicographically smallest.
+
+    This is the decision search at (n, n): the whole vertex set always qualifies.
+    """
+    return oracle_tss_decision(inst, inst.n, inst.n)
 
 
 def oracle_enum_mpvc(g: Graph) -> set[frozenset[int]]:

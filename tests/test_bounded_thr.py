@@ -80,6 +80,13 @@ def test_threshold_precondition():
         solve_bounded(inst, -1, 1, 2)
 
 
+def test_stage3_dp_walks_a_free_part_deeper_than_the_recursion_limit():
+    # 1,000 isolated threshold-1 vertices: MPVC yields the empty cover and stage 3
+    # chooses among all 1,000 undecided vertices, skipping on ties
+    inst = Instance(Graph(1000, []), (1,) * 1000)
+    assert solve_bounded(inst, 5, 5, 1) == frozenset(range(995, 1000))
+
+
 def test_oracle_agreement_small_corpus():
     rng = random.Random(1001)
     for _ in range(150):

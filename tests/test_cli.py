@@ -5,11 +5,16 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from tss import cli, gen_random, is_perfect_target_set, parse_instance, write_instance
-from tss.cli import _build_parser, run
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tss import Graph, Instance, cli, gen_random, is_perfect_target_set, parse_instance, write_instance
+from tss.cli import _answer, _build_parser, run
+from tss.degree_ratio import ratio_violator
 from tss.stats import Stats
 
-from helpers import path_instance
+from helpers import complete_instance, path_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 K3 = "p tss 3 3\nt 1 2\nt 2 2\nt 3 2\ne 1 2\ne 1 3\ne 2 3\nq 2 3\n"
@@ -279,6 +284,99 @@ def test_bench_jobs_output_identical(tmp_path, capsys):
     assert run(["bench", k3, p3, "--algo", "oracle,thr2", "--jobs", "2"]) == 0
     par = [line.rsplit(",", 1)[0] for line in capsys.readouterr().out.splitlines()]
     assert seq == par
+
+
+def test_bench_jobs_capped_at_row_count(tmp_path, capsys, monkeypatch):
+    # a pool starts all its workers at the first task, so bench must not ask for
+    # more workers than it has rows; a fake pool records what it is asked for
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    k3 = _write(tmp_path, "k3.tss", K3)
+    p3 = _write(tmp_path, "p3.tss", P3)
+    assert run(["bench", k3, "--algo", "oracle", "--jobs", "64"]) == 0
+    assert asked == []
+    assert run(["bench", k3, p3, "--algo", "oracle", "--jobs", "64"]) == 0
+    assert asked == [2]
+    assert len(capsys.readouterr().out.splitlines()) == (1 + 1) + (1 + 2)
+
+
+def test_bench_reverifies_witness(tmp_path, monkeypatch):
+    # bench rows go through the same re-verification as solve and perfect
+    monkeypatch.setattr(cli, "solve_perfect_thr2", lambda inst, stats=None: frozenset())
+    path = _write(tmp_path, "k3.tss", K3)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        run(["bench", path, "--algo", "thr2"])
+
+
+def test_auto_routing(tmp_path, capsys):
+    # solve: third under the degree/3 cap, bounded otherwise;
+    # perfect: thr2, thr3 and dual for maximum thresholds 2, 3 and 4
+    cases = [
+        (["solve"], K3_THR1, "third"),
+        (["solve"], K3, "bounded"),
+        (["perfect"], write_instance(complete_instance(3, 2)), "thr2"),
+        (["perfect"], write_instance(complete_instance(4, 3)), "thr3"),
+        (["perfect"], write_instance(complete_instance(5, 4)), "dual"),
+    ]
+    for i, (command, text, expected) in enumerate(cases):
+        path = _write(tmp_path, f"auto{i}.tss", text)
+        assert run([*command, path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == expected, (command, text)
+
+
+@st.composite
+def _queries(draw):
+    """An instance with n <= 8 and thresholds <= 3, half of them under the degree/3
+    cap, plus a query (k, l)."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, kept in zip(pairs, keep) if kept])
+    thr = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        thr = [min(t, -(-g.degree(v) // 3)) for v, t in enumerate(thr)]
+    return Instance(g, tuple(thr)), draw(st.integers(0, n)), draw(st.integers(0, n + 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_queries())
+def test_answers_are_monotone_in_k_and_l(query):
+    # YES stays YES with more budget or a lower target; NO stays NO with less
+    # budget or a higher target
+    inst, k, l = query
+    solvers = [("oracle", None), ("bounded", 0.0), ("bounded", None)]
+    if ratio_violator(inst) is None:
+        solvers.append(("third", None))
+    for algo, gamma in solvers:
+        def yes(k, l):
+            return _answer(inst, algo, k, l, None, gamma=gamma)[0] is not None
+
+        if yes(k, l):
+            assert yes(k + 1, l) and (l == 0 or yes(k, l - 1)), (algo, gamma)
+        else:
+            assert not yes(k, l + 1) and (k == 0 or not yes(k - 1, l)), (algo, gamma)
+
+
+def test_solve_completes_a_deep_stage3_table(tmp_path, capsys):
+    # 1,000 isolated threshold-1 vertices reach stage 3 with a free part deeper
+    # than the recursion limit; the table is walked without recursion
+    path = _write(tmp_path, "iso.tss", write_instance(Instance(Graph(1000, []), (1,) * 1000)))
+    assert run(["solve", path, "--algo", "bounded", "--k", "5", "--l", "5"]) == 0
+    assert capsys.readouterr().out.startswith("YES size=5 ")
 
 
 def test_force_flag_clamps_query(tmp_path, capsys):
