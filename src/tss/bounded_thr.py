@@ -218,36 +218,36 @@ def stage3_dp(inst: Instance, selected: int, free: int, ctx: _Ctx, projected: in
                 for v, dj, cj in zip(constrained, d, caps):
                     stats.pair_variants.setdefault(v, set()).add((dj, cj))
 
-    # forward: the reachable (p, d) states of each index within the caps, with
-    # their (take, skip) successors; take is None where it breaks a quota
-    start = (0, d_start)
-    layer = [start] if fits(d_start) else []
-    steps: list[dict] = []
+    # forward: the reachable (p, d) states of each index within the caps, each
+    # layer a dict from state to its position, and per position the positions of
+    # its take and skip successors in the next layer (take is -1 where it breaks a quota)
+    layer = {(0, d_start): 0} if fits(d_start) else {}
+    steps: list[tuple[list[int], list[int]]] = []
     for i, u in enumerate(rest):
         count(layer)
         hits = [(masks[v] >> u) & 1 for v in constrained]
-        step = {}
+        nxt: dict = {}
+        take_of, skip_of = [], []
         for p, d in layer:
             d_take = tuple(min(inst.thr[v], dj + h) for v, dj, h in zip(constrained, d, hits))
-            take = (min(p + 1, l), d_take) if fits(d_take) else None
-            step[(p, d)] = (take, (min(p + in_proj[i], l), d))
-        steps.append(step)
-        layer = list(dict.fromkeys(s for pair in step.values() for s in pair if s is not None))
+            take_of.append(nxt.setdefault((min(p + 1, l), d_take), len(nxt)) if fits(d_take) else -1)
+            skip_of.append(nxt.setdefault((min(p + in_proj[i], l), d), len(nxt)))
+        steps.append((take_of, skip_of))
+        layer = nxt
     count(layer)
     # backward: the fewest picks completing each state, skipping a vertex on ties
-    best = {s: 0 if s[1] == caps and s[0] + outside_score >= l else None for s in layer}
-    for u, step in zip(reversed(rest), reversed(steps)):
-        prev = {}
-        for s, (take_s, skip_s) in step.items():
-            take = None if take_s is None or best[take_s] is None else best[take_s] | 1 << u
-            skip = best[skip_s]
+    best = [0 if d == caps and p + outside_score >= l else None for p, d in layer]
+    for u, (take_of, skip_of) in zip(reversed(rest), reversed(steps)):
+        prev = []
+        for t, s in zip(take_of, skip_of):
+            take = None if t < 0 or best[t] is None else best[t] | 1 << u
+            skip = best[s]
             if take is None or (skip is not None and skip.bit_count() <= take.bit_count()):
-                prev[s] = skip
+                prev.append(skip)
             else:
-                prev[s] = take
+                prev.append(take)
         best = prev
-
-    picks = best.get(start)
+    picks = best[0] if best else None
     if picks is None or (selected | ctx.inside).bit_count() + picks.bit_count() > k:
         return None
     return picks
