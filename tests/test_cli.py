@@ -340,7 +340,7 @@ def test_auto_routing(tmp_path, capsys):
 
 @st.composite
 def _queries(draw):
-    """An instance with n <= 8 and thresholds <= 3, half of them under the degree/3
+    """An instance with n <= 8 and thresholds <= 3, about half of them under the degree/3
     cap, plus a query (k, l)."""
     n = draw(st.integers(1, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
