@@ -206,7 +206,6 @@ def stage3_dp(inst: Instance, selected: int, free: int, ctx: _Ctx, projected: in
         min((masks[v] & ctx.inside).bit_count(), inst.thr[v]) for v in constrained
     )
     outside_score = (projected & ~undecided).bit_count()
-    in_proj = [(projected >> u) & 1 for u in rest]
 
     def fits(d: tuple[int, ...]) -> bool:
         return all(dj <= cj for dj, cj in zip(d, caps))
@@ -223,15 +222,16 @@ def stage3_dp(inst: Instance, selected: int, free: int, ctx: _Ctx, projected: in
     # its take and skip successors in the next layer (take is -1 where it breaks a quota)
     layer = {(0, d_start): 0} if fits(d_start) else {}
     steps: list[tuple[list[int], list[int]]] = []
-    for i, u in enumerate(rest):
+    for u in rest:
         count(layer)
         hits = [(masks[v] >> u) & 1 for v in constrained]
+        in_proj = (projected >> u) & 1
         nxt: dict = {}
         take_of, skip_of = [], []
         for p, d in layer:
             d_take = tuple(min(inst.thr[v], dj + h) for v, dj, h in zip(constrained, d, hits))
             take_of.append(nxt.setdefault((min(p + 1, l), d_take), len(nxt)) if fits(d_take) else -1)
-            skip_of.append(nxt.setdefault((min(p + in_proj[i], l), d), len(nxt)))
+            skip_of.append(nxt.setdefault((min(p + in_proj, l), d), len(nxt)))
         steps.append((take_of, skip_of))
         layer = nxt
     count(layer)
