@@ -26,6 +26,7 @@ from .perfect_small_thr import (
     solve_perfect_thr3,
 )
 from .reductions import ReductionOutput, reduce_clique_to_tss
+from .sliced import solve_sliced
 
 __all__ = [
     "ActivationTrace",
@@ -57,6 +58,7 @@ __all__ = [
     "solve_perfect_thr2",
     "solve_perfect_thr3",
     "solve_ratio_tss",
+    "solve_sliced",
     "stage3_dp",
     "write_instance",
 ]

@@ -126,7 +126,10 @@ def branch_and_reduce(
                 return None
         return leaf(selected, free, act)
 
-    return node(0, (1 << len(masks)) - 1, 0)
+    try:
+        return node(0, (1 << len(masks)) - 1, 0)
+    finally:
+        del node  # node calls itself through this cell: a cycle until it is cleared
 
 
 class _Ctx:
@@ -369,5 +372,8 @@ def solve_bounded(
         # BR1 stops where the leaf's brute force takes over
         return None if free.bit_count() <= gamma * n else br1_split(masks, thr, free, stats)
 
-    found = branch_and_reduce(masks, thr, [br1], prune, leaf, stats)
+    try:
+        found = branch_and_reduce(masks, thr, [br1], prune, leaf, stats)
+    finally:
+        del _explore  # as branch_and_reduce's node: a self-reference, cleared here
     return None if found is None else members(found)

@@ -17,19 +17,20 @@ from typing import Optional, Sequence
 
 from .activation import activate, closure
 from .bounded_thr import solve_bounded
-from .degree_ratio import construct_small_pts, ratio_violator, solve_ratio_tss
+from .degree_ratio import construct_small_pts, solve_ratio_tss
 from .dual_thr import solve_dual_perfect
 from .instance import Instance, InstanceFormatError, gen_random, parse_instance, write_instance
 from .mpvc import enum_minimal_pvcs, leaf_count_log2_bound
 from .oracle import oracle_tss_decision
 from .perfect_small_thr import solve_perfect_thr2, solve_perfect_thr3
 from .reductions import reduce_clique_to_tss
+from .sliced import solve_sliced
 from .stats import Stats
 
 
 # The solvers each subcommand can name; thr2, thr3 and dual find minimum perfect target sets.
-DECISION_ALGOS = ("oracle", "bounded", "third")
-PERFECT_ALGOS = ("oracle", "thr2", "thr3", "dual")
+DECISION_ALGOS = ("oracle", "bounded", "third", "sliced")
+PERFECT_ALGOS = ("oracle", "thr2", "thr3", "dual", "sliced")
 BENCH_ALGOS = tuple(dict.fromkeys((*DECISION_ALGOS, *PERFECT_ALGOS, "enum-mpvc")))
 
 
@@ -205,6 +206,8 @@ def _answer(inst: Instance, algo: str, k: int, l: int, stats: Optional[Stats], *
     start = time.perf_counter()
     if algo == "oracle":
         witness = oracle_tss_decision(inst, k, l)
+    elif algo == "sliced":
+        witness = solve_sliced(inst, k, l, stats)
     elif algo == "third":
         witness = solve_ratio_tss(inst, k, l)
     elif algo == "bounded":
@@ -255,19 +258,14 @@ def _print_stats(stats: Stats) -> None:
 def _cmd_solve(args) -> int:
     inst = _load(args.file, args.force)
     k, l = _query_of(inst, args.k, args.l)
-    algo = args.algo
-    if algo == "auto":
-        algo = "third" if ratio_violator(inst) is None else "bounded"
+    algo = "sliced" if args.algo == "auto" else args.algo
     stats = Stats() if args.stats else None
     return _emit(args, algo, *_answer(inst, algo, k, l, stats, t=args.t, gamma=args.gamma), stats)
 
 
 def _cmd_perfect(args) -> int:
     inst = _load(args.file, args.force)
-    algo = args.algo
-    if algo == "auto":
-        top = inst.max_threshold()
-        algo = "thr2" if top <= 2 else ("thr3" if top <= 3 else "dual")
+    algo = "sliced" if args.algo == "auto" else args.algo
     stats = Stats() if args.stats else None
     return _emit(args, algo, *_answer(inst, algo, inst.n, inst.n, stats, d=args.d), stats)
 

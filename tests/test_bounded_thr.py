@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -328,3 +329,27 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
                 assert members(projected) - b == full - b, (
                     inst.graph.edges(), inst.thr, sorted(b), ctx.quota, bin(ctx.outside))
     assert checked > 100
+
+
+def test_solve_bounded_leaves_no_reference_cycles():
+    # the search's recursive closures call themselves through their own cells;
+    # once the call returns those cells are cleared, so reference counting alone
+    # frees the instance, its graph and every nested function
+    def call():
+        inst = gen_random("gnp", 7, "const", 1, p=0.45, thr_param=2)
+        return solve_bounded(inst, 2, 7, 2, gamma=0.0, stats=Stats())
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert call() == frozenset({4, 6})
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not [o for o in garbage if isinstance(o, (Graph, Instance))]
+    assert not [o for o in garbage
+                if callable(o) and getattr(o, "__module__", None) == bounded_thr.__name__]

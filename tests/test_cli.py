@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tss import Graph, Instance, cli, gen_random, is_perfect_target_set, parse_instance, write_instance
+from tss import (
+    Graph, Instance, cli, gen_random, is_perfect_target_set, oracle_min_perfect_tss,
+    oracle_tss_decision, parse_instance, write_instance,
+)
 from tss.cli import _answer, _build_parser, run
 from tss.degree_ratio import ratio_violator
 from tss.stats import Stats
@@ -20,8 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 K3 = "p tss 3 3\nt 1 2\nt 2 2\nt 3 2\ne 1 2\ne 1 3\ne 2 3\nq 2 3\n"
 # thresholds 1 keep the degree/3 cap, so every solve and perfect algorithm accepts it
 K3_THR1 = "p tss 3 3\nt 1 1\nt 2 1\nt 3 1\ne 1 2\ne 1 3\ne 2 3\nq 1 3\n"
-SOLVE_ALGOS = ("oracle", "bounded", "third")
-PERFECT_ALGOS = ("oracle", "thr2", "thr3", "dual")
+SOLVE_ALGOS = ("oracle", "bounded", "third", "sliced")
+PERFECT_ALGOS = ("oracle", "thr2", "thr3", "dual", "sliced")
 P3 = "p tss 3 2\nt 1 1\nt 2 2\nt 3 1\ne 1 2\ne 2 3\nq 1 3\n"
 
 
@@ -323,19 +326,45 @@ def test_bench_reverifies_witness(tmp_path, monkeypatch):
 
 
 def test_auto_routing(tmp_path, capsys):
-    # solve: third under the degree/3 cap, bounded otherwise;
-    # perfect: thr2, thr3 and dual for maximum thresholds 2, 3 and 4
+    # solve and perfect both send auto to the bit-sliced ascending search,
+    # whatever the thresholds
     cases = [
-        (["solve"], K3_THR1, "third"),
-        (["solve"], K3, "bounded"),
-        (["perfect"], write_instance(complete_instance(3, 2)), "thr2"),
-        (["perfect"], write_instance(complete_instance(4, 3)), "thr3"),
-        (["perfect"], write_instance(complete_instance(5, 4)), "dual"),
+        (["solve"], K3_THR1, "sliced"),
+        (["solve"], K3, "sliced"),
+        (["perfect"], write_instance(complete_instance(3, 2)), "sliced"),
+        (["perfect"], write_instance(complete_instance(4, 3)), "sliced"),
+        (["perfect"], write_instance(complete_instance(5, 4)), "sliced"),
     ]
     for i, (command, text, expected) in enumerate(cases):
         path = _write(tmp_path, f"auto{i}.tss", text)
         assert run([*command, path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["algorithm"] == expected, (command, text)
+
+
+def test_auto_decision_leaves_unreachable_vertex_free(tmp_path, capsys):
+    # vertex 3 is isolated with threshold 1, so it activates only as a seed;
+    # a decision query below n need not activate it, and forcing it into the
+    # seed would spend the whole budget on it and answer NO
+    text = "p tss 3 1\nt 1 1\nt 2 1\nt 3 1\ne 1 2\nq 1 2\n"
+    path = _write(tmp_path, "iso.tss", text)
+    assert run(["solve", path, "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["algorithm"] == "sliced" and record["witness"] == [1]
+    inst = parse_instance(text)
+    assert sorted(v + 1 for v in oracle_tss_decision(inst, 1, 2)) == [1]
+
+
+def test_auto_perfect_drops_the_forced_closure(tmp_path, capsys):
+    # on the path 1-2-3-4-5 with thresholds 2,1,2,2,1, vertex 1 is forced
+    # (thr > deg) and activates 2, so the search runs over 3, 4 and 5 alone:
+    # from the counting bound's level, one extra seed, it tests {3}, then {4}
+    text = "p tss 5 4\nt 1 2\nt 2 1\nt 3 2\nt 4 2\nt 5 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
+    path = _write(tmp_path, "path.tss", text)
+    assert run(["perfect", path, "--stats", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["algorithm"] == "sliced" and record["witness"] == [1, 4]
+    assert record["stats"]["leaf_seeds"] == 2
+    assert oracle_min_perfect_tss(parse_instance(text)) == frozenset({0, 3})
 
 
 @st.composite
@@ -358,7 +387,7 @@ def test_answers_are_monotone_in_k_and_l(query):
     # YES stays YES with more budget or a lower target; NO stays NO with less
     # budget or a higher target
     inst, k, l = query
-    solvers = [("oracle", None), ("bounded", 0.0), ("bounded", None)]
+    solvers = [("oracle", None), ("bounded", 0.0), ("bounded", None), ("sliced", None)]
     if ratio_violator(inst) is None:
         solvers.append(("third", None))
     for algo, gamma in solvers:

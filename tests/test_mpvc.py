@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from tss import Graph, covered_edges, enum_minimal_pvcs, is_minimal_pvc, oracle_enum_mpvc
 from tss.mpvc import leaf_count_log2_bound
 from tss.stats import Stats
 
-from helpers import rand_bounded_degree_graph
+from helpers import graphs, rand_bounded_degree_graph
 
 
 def test_covered_edges_basics():
@@ -96,3 +97,13 @@ def test_stats_counters():
         assert stats.leaf_subsets >= max(emitted, stats.leaf_nodes)
     # the recursion-leaf budget itself is checked softly in bench mode only
     assert leaf_count_log2_bound(8, 3) > 0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs(9))
+def test_enum_matches_oracle_on_random_graphs(g):
+    # every minimal partial vertex cover, each exactly once, at the smallest
+    # bound the enumerator accepts
+    got = list(enum_minimal_pvcs(g, g.max_degree() + 1))
+    assert len(got) == len(set(got))
+    assert set(got) == oracle_enum_mpvc(g)

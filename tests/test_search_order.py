@@ -19,6 +19,7 @@ from tss.degree_ratio import solve_ratio_tss
 from tss.dual_thr import solve_dual_perfect
 from tss.instance import gen_random
 from tss.perfect_small_thr import solve_perfect_thr2, solve_perfect_thr3
+from tss.sliced import solve_sliced
 from tss.stats import Stats
 
 # The pinned counters of each solver, in the order of the EXPECTED tuples.
@@ -58,7 +59,7 @@ def _counting(monkeypatch) -> dict[str, int]:
 def _run(case: tuple, monkeypatch):
     """Witness, plus for bounded/thr2/thr3 the solver's counters (children
     summed over branchings) and its closure_mask and closure call counts,
-    and for dual its branch-and-bound node count."""
+    for dual its branch-and-bound node count, and for sliced the seeds it tests."""
     kind = case[0]
     if kind in ("bounded", "gamma0", "gamma0-reg"):
         if kind == "gamma0-reg":
@@ -90,6 +91,11 @@ def _run(case: tuple, monkeypatch):
         stats = Stats()
         witness = solve_dual_perfect(inst, d, stats)
         return _sorted(witness), stats.dual_nodes
+    if kind == "sliced":
+        _, model, n, p, seed, t, k, l = case
+        stats = Stats()
+        witness = solve_sliced(gen_random(model, n, "const", seed, p=p, thr_param=t), k, l, stats)
+        return _sorted(witness), stats.leaf_seeds
     _, seed, k, l, *p = case
     return _sorted(solve_ratio_tss(_third_instance(seed, *p), k, l))
 
@@ -199,6 +205,13 @@ EXPECTED: dict[tuple, object] = {
     ("third", 29, 3, 14, 0.12): [3, 5, 8],
     ("third", 29, 2, 14, 0.12): None,
     ("third", 29, 2, 10, 0.12): [5, 8],
+    # The bit-sliced ascending search: (kind, model, n, p, seed, t, k, l) with
+    # const thresholds t. The perfect query forces three thr > deg vertices,
+    # whose closure drops two more from the search; the decision queries are
+    # a YES at k = opt and a NO at k = opt - 1.
+    ("sliced", "gnp", 14, 0.25, 6, 2, 14, 14): ([0, 1, 2, 3, 9, 11], 42),
+    ("sliced", "gnp", 14, 0.3, 0, 2, 3, 10): ([0, 2, 8], 123),
+    ("sliced", "gnp", 14, 0.3, 0, 2, 2, 10): (None, 105),
 }
 
 
