@@ -148,6 +148,13 @@ def fitting(prefix: Sequence[int], budget: int) -> int:
     return bisect_right(prefix, budget) - 1
 
 
+def counting_bound(masks: Sequence[int], thr: Sequence[int], m: int, known: int, l: int) -> int:
+    """l - F(known): the fewest members a seed holding the vertex mask known
+    needs to activate l vertices, m being the number of edges (see fitting)."""
+    rest = threshold_prefix(thr[v] for v in range(len(masks)) if not (known >> v) & 1)
+    return l - fitting(rest, m - edges_within(masks, known))
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with bit v set for every v in vertices."""
     m = 0

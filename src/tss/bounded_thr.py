@@ -33,8 +33,7 @@ from math import comb, log2
 from typing import Callable, Optional, Sequence
 
 from .activation import (
-    bits_of, closure_mask, edges_within, first_reaching, fitting, mask_of, members,
-    seed_masks, threshold_prefix,
+    bits_of, closure_mask, counting_bound, first_reaching, mask_of, members, seed_masks,
 )
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .instance import Instance
@@ -101,10 +100,12 @@ def branch_and_reduce(
     RR1 reruns. Unless prune(selected, free, act) holds, the first rule giving
     (group, children) branches, each child selecting its part of the group; with
     none, leaf(selected, free, act) runs. Its first result other than None is
-    returned.
+    returned. The nodes wait on an explicit stack, children pushed last-first,
+    so they are visited depth-first in child order and depth is no limit.
     """
-
-    def node(selected: int, free: int, act: int) -> object:
+    stack = [(0, (1 << len(masks)) - 1, 0)]
+    while stack:
+        selected, free, act = stack.pop()
         while True:
             act = closure_mask(masks, thr, act | selected)
             if stats is not None:
@@ -115,21 +116,17 @@ def branch_and_reduce(
             selected |= low
             free &= ~low
         if prune(selected, free, act):
-            return None
+            continue
         for rule in rules:
             if (split := rule(free)) is not None:
                 group, children = split
-                for inside in children:
-                    res = node(selected | inside, free & ~group, act)
-                    if res is not None:
-                        return res
-                return None
-        return leaf(selected, free, act)
-
-    try:
-        return node(0, (1 << len(masks)) - 1, 0)
-    finally:
-        del node  # node calls itself through this cell: a cycle until it is cleared
+                stack.extend((selected | inside, free & ~group, act)
+                             for inside in reversed(children))
+                break
+        else:
+            if (res := leaf(selected, free, act)) is not None:
+                return res
+    return None
 
 
 class _Ctx:
@@ -281,20 +278,12 @@ def solve_bounded(
         raise ValueError(f"threshold {inst.thr[bad[0]]} of vertex {bad[0]} exceeds bound {t}")
     if gamma is None:
         gamma = compute_constants(max(t, 1))[1]
-    n = inst.n
-    thr = inst.thr
-    masks = inst.graph.neighbor_masks()
-
-    def lower(selected: int) -> int:
-        # the counting bound: a set holding selected activates at most its own
-        # size plus fitting() vertices, so it needs this many members to reach l
-        rest = threshold_prefix(thr[v] for v in range(n) if not (selected >> v) & 1)
-        return l - fitting(rest, inst.graph.m - edges_within(masks, selected))
+    n, m, thr, masks = inst.n, inst.graph.m, inst.thr, inst.graph.neighbor_masks()
 
     def prune(selected: int, free: int, act: int) -> bool:
         if selected.bit_count() > k:
             return True
-        if l > n or lower(selected) > k:
+        if l > n or counting_bound(masks, thr, m, selected, l) > k:
             if stats is not None:
                 stats.bound_prunes += 1
             return True
@@ -306,7 +295,7 @@ def solve_bounded(
             if stats is not None:
                 stats.br2_leaves += 1
             seed, tested = first_reaching(masks, thr, bits_of(free), k - size, l, act,
-                                          lower(selected) - size)
+                                          counting_bound(masks, thr, m, selected, l) - size)
             if stats is not None:
                 stats.leaf_seeds += tested
             return None if seed is None else selected | (seed & ~act)
@@ -318,9 +307,7 @@ def solve_bounded(
                 cover = mask_of(old_ids[i] for i in local_cover)
                 if stats is not None:
                     stats.stage2_covers += 1
-                projected = selected | cover
-                res = _explore(selected, free, _Ctx(cover), projected,
-                               [v for v in range(n) if not (projected >> v) & 1], 0, 0)
+                res = _explore(selected, free, cover)
                 if res is not None:
                     return res
             return None
@@ -329,51 +316,53 @@ def solve_bounded(
                 for key in ("branch_nodes", "leaf_nodes", "leaf_subsets", "emitted"):
                     setattr(stats, key, getattr(stats, key) + getattr(enum_stats, key))
 
-    def _explore(selected: int, free: int, ctx: _Ctx, projected: int,
-                 outside: list[int], i: int, newly: int) -> Optional[int]:
-        """Replay the projected rounds from outside[i] of the current round, where
-        newly holds the round's activations so far. At an undecided fact each child
-        resumes here: vertices already evaluated needed no fact, and added facts
-        leave their outcome unchanged."""
-        while True:
-            for j in range(i, len(outside)):
-                got = is_activated_round(inst, free, projected, outside[j], ctx)
-                if isinstance(got, bool):
-                    if got:
-                        newly |= 1 << outside[j]
+    def _explore(selected: int, free: int, cover: int) -> Optional[int]:
+        """Replay the projected rounds of one cover's branches, closing each with
+        stage 3. An entry (ctx, projected, outside, i, newly) resumes the current
+        round at outside[i], newly holding the round's activations so far. At an
+        undecided fact each child resumes there: vertices already evaluated
+        needed no fact, and added facts leave their outcome unchanged."""
+        projected = selected | cover
+        outside = [v for v in range(n) if not (projected >> v) & 1]
+        stack = [(_Ctx(cover), projected, outside, 0, 0)]
+        while stack:
+            ctx, projected, outside, j, newly = stack.pop()
+            while j < len(outside) or newly:
+                if j == len(outside):  # the round is over: the next starts
+                    projected |= newly
+                    outside = [v for v in outside if not (newly >> v) & 1]
+                    j, newly = 0, 0
                     continue
-                kind, u = got
-                if kind == "quota":
-                    if stats is not None:
-                        stats.quota_branches.append((thr[u], thr[u] + 1))
-                    children = (_Ctx(ctx.cover, {**ctx.quota, u: c}, ctx.inside, ctx.outside)
-                                for c in ctx.feasible_quotas(masks[u], thr[u], free))
-                else:
-                    if stats is not None:
-                        stats.member_branches += 1
-                    children = (_Ctx(ctx.cover, ctx.quota, ctx.inside, ctx.outside | 1 << u),
-                                _Ctx(ctx.cover, ctx.quota, ctx.inside | 1 << u, ctx.outside))
-                for child in children:
-                    res = _explore(selected, free, child, projected, outside, j, newly)
-                    if res is not None:
-                        return res
-                return None
-            if not newly:
-                break
-            projected |= newly
-            outside = [v for v in outside if not (newly >> v) & 1]
-            i, newly = 0, 0
-        if stats is not None:
-            stats.stage2_leaves += 1
-        picks = stage3_dp(inst, selected, free, ctx, projected, k, l, stats)
-        return None if picks is None else selected | ctx.inside | picks
+                got = is_activated_round(inst, free, projected, outside[j], ctx)
+                if not isinstance(got, bool):
+                    break
+                if got:
+                    newly |= 1 << outside[j]
+                j += 1
+            else:  # a fixpoint reached with every needed fact decided
+                if stats is not None:
+                    stats.stage2_leaves += 1
+                picks = stage3_dp(inst, selected, free, ctx, projected, k, l, stats)
+                if picks is not None:
+                    return selected | ctx.inside | picks
+                continue
+            kind, u = got
+            if kind == "quota":
+                if stats is not None:
+                    stats.quota_branches.append((thr[u], thr[u] + 1))
+                children = [_Ctx(ctx.cover, {**ctx.quota, u: c}, ctx.inside, ctx.outside)
+                            for c in ctx.feasible_quotas(masks[u], thr[u], free)]
+            else:
+                if stats is not None:
+                    stats.member_branches += 1
+                children = [_Ctx(ctx.cover, ctx.quota, ctx.inside, ctx.outside | 1 << u),
+                            _Ctx(ctx.cover, ctx.quota, ctx.inside | 1 << u, ctx.outside)]
+            stack.extend((child, projected, outside, j, newly) for child in reversed(children))
+        return None
 
     def br1(free: int) -> Split:
         # BR1 stops where the leaf's brute force takes over
         return None if free.bit_count() <= gamma * n else br1_split(masks, thr, free, stats)
 
-    try:
-        found = branch_and_reduce(masks, thr, [br1], prune, leaf, stats)
-    finally:
-        del _explore  # as branch_and_reduce's node: a self-reference, cleared here
+    found = branch_and_reduce(masks, thr, [br1], prune, leaf, stats)
     return None if found is None else members(found)

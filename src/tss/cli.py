@@ -256,16 +256,20 @@ def _print_stats(stats: Stats) -> None:
 
 
 def _cmd_solve(args) -> int:
+    algo = "sliced" if args.algo == "auto" else args.algo
+    if algo != "bounded" and (args.t is not None or args.gamma is not None):
+        raise ValueError("--t and --gamma apply only to --algo bounded")
     inst = _load(args.file, args.force)
     k, l = _query_of(inst, args.k, args.l)
-    algo = "sliced" if args.algo == "auto" else args.algo
     stats = Stats() if args.stats else None
     return _emit(args, algo, *_answer(inst, algo, k, l, stats, t=args.t, gamma=args.gamma), stats)
 
 
 def _cmd_perfect(args) -> int:
-    inst = _load(args.file, args.force)
     algo = "sliced" if args.algo == "auto" else args.algo
+    if algo != "dual" and args.d is not None:
+        raise ValueError("--d applies only to --algo dual")
+    inst = _load(args.file, args.force)
     stats = Stats() if args.stats else None
     return _emit(args, algo, *_answer(inst, algo, inst.n, inst.n, stats, d=args.d), stats)
 

@@ -16,7 +16,8 @@ import warnings
 from math import floor
 from typing import Optional, Sequence
 
-from .activation import closure_mask, is_perfect_target_set, mask_of, members, seed_masks
+from .activation import (closure_mask, first_reaching, is_perfect_target_set, mask_of, members,
+                         seed_masks)
 from .instance import Instance
 
 SIZE_FRACTION = 0.45
@@ -48,11 +49,15 @@ def construct_small_pts(inst: Instance, seed: int = 0) -> frozenset[int]:
     """A perfect target set of size at most floor(0.45n).
 
     Requires a connected graph, n >= 3, and thr(v) <= ceil(deg(v)/3) for all v.
-    When more than half the vertices have degree one, a vertex with two
-    degree-one neighbors is taken and the solver recurses on what remains;
-    otherwise random orderings are sampled (up to 64n, seeded). If sampling
-    misses the bound, small instances fall back to exhaustive bounded-size
-    search; larger ones return the best sample found with a warning.
+    When more than half the vertices of a part have degree one, a vertex with
+    two degree-one neighbors is taken, and each component of what remains with
+    at least 3 vertices becomes a part of its own (the smaller ones activate for
+    free once the vertex is active); otherwise random orderings of the part are
+    sampled (up to 64n, seeded). If sampling misses the bound, small parts fall
+    back to exhaustive bounded-size search; larger ones keep the best sample
+    found with a warning. The parts wait on an explicit stack, components pushed
+    last-first, so they are solved depth-first in component order and depth is
+    no limit.
     """
     if not inst.graph.is_connected():
         raise ValueError("graph must be connected")
@@ -60,21 +65,39 @@ def construct_small_pts(inst: Instance, seed: int = 0) -> frozenset[int]:
         raise ValueError("need at least 3 vertices")
     _check_ratio(inst)
     rng = random.Random(seed)
-    result = _construct(inst, rng)
+    chosen: set[int] = set()
+    parts = [(inst, list(range(inst.n)))]  # a part and its vertices' ids in inst
+    while parts:
+        part, ids = parts.pop()
+        n = part.n
+        deg = [part.graph.degree(v) for v in range(n)]
+        n1 = deg.count(1)
+        if n == 3:
+            chosen.add(ids[0])
+        elif n1 > n - n1:
+            nbr = part.graph.neighbor_sets()
+            # more degree-one vertices than others forces a vertex with two of them
+            pick = next(v for v in range(n) if sum(1 for u in nbr[v] if deg[u] == 1) >= 2)
+            chosen.add(ids[pick])
+            rest_graph, old_ids = part.graph.induced(set(range(n)) - {pick})
+            rest_thr = [max(0, part.thr[old] - (old in nbr[pick])) for old in old_ids]
+            for comp in reversed(rest_graph.components()):
+                if len(comp) >= 3:
+                    comp_graph, comp_ids = rest_graph.induced(comp)
+                    parts.append((Instance(comp_graph, tuple(rest_thr[i] for i in comp_ids)),
+                                  [ids[old_ids[i]] for i in comp_ids]))
+        else:
+            chosen.update(ids[v] for v in _sample(part, rng))
+    result = frozenset(chosen)
     assert is_perfect_target_set(inst, result)
     return result
 
 
-def _construct(inst: Instance, rng: random.Random) -> frozenset[int]:
+def _sample(inst: Instance, rng: random.Random) -> frozenset[int]:
+    """The first sampled ordering's set within floor(0.45n), else the
+    exhaustive search's first seed (n <= 12) or the best sample."""
     n = inst.n
     bound = floor(SIZE_FRACTION * n)
-    if n == 3:
-        return frozenset({0})
-    deg = [inst.graph.degree(v) for v in range(n)]
-    n1 = sum(1 for d in deg if d == 1)
-    if n1 > n - n1:
-        return _peel_leafy_vertex(inst, rng)
-
     best: Optional[frozenset[int]] = None
     for _ in range(SAMPLES_PER_VERTEX * n):
         order = list(range(n))
@@ -86,47 +109,15 @@ def _construct(inst: Instance, rng: random.Random) -> frozenset[int]:
             return best
     assert best is not None
     if n <= EXHAUSTIVE_FALLBACK_N:
-        masks = inst.graph.neighbor_masks()
-        for seed in seed_masks(range(n), bound):
-            if closure_mask(masks, inst.thr, seed).bit_count() == n:
-                return members(seed)
-        raise RuntimeError("no perfect target set within the size bound; precondition violated?")
+        seed, _ = first_reaching(inst.graph.neighbor_masks(), inst.thr, range(n), bound, n)
+        if seed is None:
+            raise RuntimeError("no perfect target set within the size bound; precondition violated?")
+        return members(seed)
     warnings.warn(
         f"ordering samples exceeded the floor(0.45n) bound (best {len(best)} > {bound})",
         RuntimeWarning,
     )
     return best
-
-
-def _peel_leafy_vertex(inst: Instance, rng: random.Random) -> frozenset[int]:
-    """Select a vertex with two degree-one neighbors and recurse on the rest.
-
-    Components of size at most 2 of the remainder activate for free once the
-    selected vertex is active; only components of size >= 3 are recursed into.
-    """
-    n = inst.n
-    nbr = inst.graph.neighbor_sets()
-    deg = [inst.graph.degree(v) for v in range(n)]
-    pick = -1
-    for v in range(n):
-        if sum(1 for u in nbr[v] if deg[u] == 1) >= 2:
-            pick = v
-            break
-    assert pick >= 0, "more degree-one vertices than others forces such a vertex"
-    rest_graph, old_ids = inst.graph.induced(set(range(n)) - {pick})
-    rest_thr = tuple(
-        max(0, inst.thr[old] - (1 if old in nbr[pick] else 0)) for old in old_ids
-    )
-    rest = Instance(rest_graph, rest_thr)
-    chosen = {pick}
-    for comp in rest_graph.components():
-        if len(comp) < 3:
-            continue
-        comp_graph, comp_ids = rest_graph.induced(comp)
-        comp_inst = Instance(comp_graph, tuple(rest_thr[i] for i in comp_ids))
-        part = _construct(comp_inst, rng)
-        chosen.update(old_ids[comp_ids[i]] for i in part)
-    return frozenset(chosen)
 
 
 def solve_ratio_tss(inst: Instance, k: int, l: int) -> Optional[frozenset[int]]:

@@ -105,7 +105,9 @@ def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Sta
 
     def lower(selected: int) -> int:
         # the counting bound; every threshold is t, so the table of all n serves
-        # once F is capped at the n - |selected| vertices outside selected
+        # once F is capped at the n - |selected| vertices outside selected.
+        # activation.counting_bound, which sorts a fresh table per call, took
+        # thr3's part 2 on 4-regular draws from 4.0 to 5.5 ms
         budget = m - edges_within(masks, selected)
         return n - min(fitting(prefix, budget), n - selected.bit_count())
 

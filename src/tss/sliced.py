@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .activation import (bits_of, closure_mask, edges_within, first_reaching, fitting, mask_of,
-                         members, threshold_prefix)
+from .activation import bits_of, closure_mask, counting_bound, first_reaching, mask_of, members
 from .instance import Instance
 from .stats import Stats
 
@@ -26,8 +25,7 @@ def solve_sliced(inst: Instance, k: int, l: int,
     if l > n or size > k:
         return None
     base = closure_mask(masks, thr, forced)
-    rest = threshold_prefix(thr[v] for v in range(n) if not (forced >> v) & 1)
-    lower = l - fitting(rest, inst.graph.m - edges_within(masks, forced))
+    lower = counting_bound(masks, thr, inst.graph.m, forced, l)
     seed, tested = first_reaching(masks, thr, bits_of(~base & ((1 << n) - 1)), k - size, l,
                                   base, lower - size)
     if stats is not None:

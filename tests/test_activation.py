@@ -11,7 +11,8 @@ from tss import (
 )
 import tss.activation as activation
 from tss.activation import (
-    closure_mask, edges_within, first_reaching, fitting, mask_of, seed_masks, threshold_prefix,
+    closure_mask, counting_bound, edges_within, first_reaching, fitting, mask_of, seed_masks,
+    threshold_prefix,
 )
 
 from helpers import complete_instance, graphs, naive_rounds, path_instance, rand_gnp_instance
@@ -179,6 +180,11 @@ def test_counting_bound_never_exceeds_a_decision_witness(g, data):
     witness = oracle_tss_decision(inst, g.n, l)
     assert witness is not None  # the whole vertex set activates every vertex
     assert l - _fit(inst, frozenset()) <= len(witness)
+    # counting_bound is the same l - F, and a known part of the witness keeps it below
+    masks = g.neighbor_masks()
+    part = mask_of(v for v in witness if data.draw(st.booleans()))
+    assert counting_bound(masks, thr, g.m, 0, l) == l - _fit(inst, frozenset())
+    assert counting_bound(masks, thr, g.m, part, l) <= len(witness)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)

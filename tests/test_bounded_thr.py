@@ -88,6 +88,14 @@ def test_stage3_dp_walks_a_free_part_deeper_than_the_recursion_limit():
     assert solve_bounded(inst, 5, 5, 1) == frozenset(range(995, 1000))
 
 
+def test_branching_deeper_than_the_recursion_limit_answers():
+    # a 1,100-edge matching with thresholds 1 at gamma 0: BR1 splits every edge
+    # in turn, so the first child chain nests 1,100 nodes deep before stage 2
+    inst = Instance(Graph(2200, [(2 * i, 2 * i + 1) for i in range(1100)]), (1,) * 2200)
+    got = solve_bounded(inst, 1, 2, 1, gamma=0.0)
+    assert got is not None and len(got) == 1 and len(closure(inst, got)) == 2
+
+
 def test_oracle_agreement_small_corpus():
     rng = random.Random(1001)
     for _ in range(150):

@@ -240,6 +240,35 @@ def test_construct_command(tmp_path, capsys):
     assert out.startswith("size=1 set=")
 
 
+def test_construct_peels_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # a caterpillar: a 520-vertex spine with two leaves per spine vertex and
+    # thresholds 1; each peel takes one spine vertex and leaves one part
+    spine = 520
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + 2 * i + j) for i in range(spine) for j in range(2)]
+    inst = Instance(Graph(3 * spine, edges), (1,) * (3 * spine))
+    path = _write(tmp_path, "caterpillar.tss", write_instance(inst))
+    assert run(["construct", path, "--bound045"]) == 0
+    ids = ",".join(map(str, range(1, spine + 1)))  # the spine, peeled from its first vertex
+    assert capsys.readouterr().out.strip() == f"size={spine} set={ids}"
+
+
+def test_flags_the_chosen_solver_ignores_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "k3t1.tss", K3_THR1)
+    for argv in (["solve", path, "--t", "2"], ["solve", path, "--gamma", "0.0"],
+                 ["solve", path, "--algo", "oracle", "--t", "2"],
+                 ["solve", path, "--algo", "sliced", "--gamma", "0.5"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "--algo bounded" in err, argv
+    for argv in (["perfect", path, "--d", "1"], ["perfect", path, "--algo", "thr2", "--d", "1"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "--algo dual" in err, argv
+    assert run(["solve", path, "--algo", "bounded", "--t", "2"]) == 0
+    assert run(["perfect", path, "--algo", "dual", "--d", "2"]) == 0
+
+
 def test_verify_command(tmp_path, capsys):
     path = _write(tmp_path, "k3.tss", K3)
     assert run(["verify", path, "--x", "1,2"]) == 0

@@ -115,6 +115,49 @@ def test_exhaustive_fallback_returns_oracle_minimum(monkeypatch):
     assert checked > 20
 
 
+def _caterpillar(spine: int) -> Instance:
+    """A path of spine vertices, each with two leaves; thresholds 1."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + 2 * i + j) for i in range(spine) for j in range(2)]
+    return Instance(Graph(3 * spine, edges), (1,) * (3 * spine))
+
+
+def _spider() -> Instance:
+    """Hub 0 with 20 leaves and legs of 4, 6 and 5 vertices; thresholds 1.
+    Peeling the hub leaves the three legs, each sampled in turn."""
+    edges = [(0, i) for i in range(1, 21)]
+    nxt = 21
+    for length in (4, 6, 5):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Instance(Graph(nxt, edges), (1,) * nxt)
+
+
+def _nested_spider() -> Instance:
+    """Hub 0 with 14 leaves, a leg 15-18 to a sub-hub 19 with 8 leaves, and a
+    leg 28-32; thresholds 1. The first part peels again before the second leg
+    is sampled."""
+    edges = [(0, i) for i in range(1, 15)] + [(0, 15), (15, 16), (16, 17), (17, 18), (18, 19)]
+    edges += [(19, i) for i in range(20, 28)] + [(0, 28), (28, 29), (29, 30), (30, 31), (31, 32)]
+    return Instance(Graph(33, edges), (1,) * 33)
+
+
+# construct_small_pts at seeds 0 and 1 on peeling inputs. The spiders' legs are
+# sampled, so the sets also pin the order in which parts consume the generator.
+CONSTRUCT_PINS = [
+    (_caterpillar(10), [list(range(10))] * 2),
+    (_spider(), [[0, 23, 28, 30, 32, 35], [0, 24, 26, 29, 33, 35]]),
+    (_nested_spider(), [[0, 17, 19, 32], [0, 19, 29, 31]]),
+]
+
+
+@pytest.mark.parametrize("inst, expected", CONSTRUCT_PINS, ids=["caterpillar", "spider", "nested"])
+def test_construct_pinned_on_peeling_inputs(inst, expected):
+    assert [sorted(construct_small_pts(inst, seed)) for seed in (0, 1)] == expected
+
+
 def test_construct_deterministic_for_seed():
     inst = rand_connected_ratio_instance(random.Random(4), 10)
     assert construct_small_pts(inst, seed=9) == construct_small_pts(inst, seed=9)

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tss import Graph, Instance, InstanceFormatError, gen_random, parse_instance, write_instance
 
@@ -180,3 +182,47 @@ def test_components():
     assert g.components() == [[0, 1], [2, 3, 4], [5]]
     assert not g.is_connected()
     assert Graph(1, []).is_connected()
+
+
+
+_NUM = st.integers(-1, 4).map(str)
+# lines shaped like the format's four kinds, with small and bad values, and token soup
+_LINE = st.one_of(
+    st.tuples(st.just("p"), st.sampled_from(["tss", "x"]), _NUM, _NUM).map(" ".join),
+    st.tuples(st.sampled_from(["t", "e", "q"]), _NUM, _NUM).map(" ".join),
+    st.lists(st.one_of(st.sampled_from(["p", "tss", "t", "e", "q", "#", "1.5", "0x1"]), _NUM,
+                       st.text(max_size=3)), max_size=5).map(" ".join),
+)
+
+
+@st.composite
+def _instance_lines(draw) -> list[str]:
+    """The lines of a well-formed instance on at most 4 vertices, in any order
+    after the header, then up to two lines dropped or inserted from _LINE."""
+    n = draw(st.integers(0, 4))
+    pairs = [f"e {u} {v}" for u in range(1, n + 1) for v in range(1, n + 1) if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    body = [f"t {v} {draw(st.integers(0, 3))}" for v in range(1, n + 1)] + edges
+    if draw(st.booleans()):
+        body.append(f"q {draw(st.integers(0, n + 1))} {draw(st.integers(0, n + 1))}")
+    lines = [f"p tss {n} {len(edges)}", *draw(st.permutations(body))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            del lines[at]
+        else:
+            lines.insert(at, draw(_LINE))
+    return lines
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(st.one_of(_instance_lines(), st.lists(_LINE, max_size=14)), st.booleans())
+def test_parse_is_total_and_write_round_trips(lines, force):
+    # any text parses to an Instance or raises InstanceFormatError, nothing else,
+    # and the canonical text of what parses reads back as the same instance
+    try:
+        inst = parse_instance("\n".join(lines), force=force)
+    except InstanceFormatError:
+        return
+    assert isinstance(inst, Instance)
+    assert parse_instance(write_instance(inst)) == inst
