@@ -304,7 +304,7 @@ def solve_bounded(
         enum_stats = None if stats is None else Stats()
         try:
             for local_cover in enum_minimal_pvcs(sub_g, max(t, 1), enum_stats):
-                cover = mask_of(old_ids[i] for i in local_cover)
+                cover = mask_of(old_ids[i] for i in bits_of(local_cover))
                 if stats is not None:
                     stats.stage2_covers += 1
                 res = _explore(selected, free, cover)

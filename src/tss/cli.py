@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import log2
 from typing import Optional, Sequence
 
-from .activation import activate, closure
+from .activation import activate, bits_of, closure
 from .bounded_thr import solve_bounded
 from .degree_ratio import construct_small_pts, solve_ratio_tss
 from .dual_thr import solve_dual_perfect
@@ -289,18 +289,19 @@ def _cmd_simulate(args) -> int:
 def _cmd_enum_mpvc(args) -> int:
     inst = _load(args.file, args.force)
     stats = Stats()  # always counted: the soft leaf bound below reads leaf_nodes
-    covers = list(enum_minimal_pvcs(inst.graph, args.t, stats))
+    # the degree check raises at the first cover, before anything is printed
+    covers = enum_minimal_pvcs(inst.graph, args.t, stats)
     if args.count_only:
-        print(len(covers))
+        print(sum(1 for _ in covers))
     else:
         for cover in covers:
-            print(",".join(str(v + 1) for v in sorted(cover)))
+            print(",".join(str(v + 1) for v in bits_of(cover)))
     if args.stats:
         _print_stats(stats)
     log2_bound = log2(inst.n**2 + 1) + leaf_count_log2_bound(inst.n, args.t)
     if log2(stats.leaf_nodes) > log2_bound:
         print(
-            f"warning: {stats.leaf_nodes} recursion leaves exceed the soft bound"
+            f"warning: {stats.leaf_nodes} branch leaves exceed the soft bound"
             f" 2^{log2_bound:.1f}",
             file=sys.stderr,
         )

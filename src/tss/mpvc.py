@@ -7,6 +7,11 @@ its whole closed neighborhood free, it branches over every proper subset of
 that closed neighborhood (a minimal cover can never contain all of it); once
 every free vertex has a decided neighbor, it exhausts subsets of the free part
 and filters by minimality.
+
+The search runs on int vertex masks (bit v for vertex v) from the root to the
+leaves, and each cover is yielded as such a mask; `activation.members` or
+`bits_of` turn one back into vertices. `covered_edges` and `is_minimal_pvc`
+stay set-based, as the plain reference.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from math import log2
 from typing import Iterator, Optional
 
+from .activation import bits_of
 from .instance import Graph
 from .stats import Stats
 
@@ -36,51 +42,64 @@ def is_minimal_pvc(g: Graph, s: frozenset[int] | set[int]) -> bool:
     return all(not nbr[v] <= s for v in s)
 
 
-def enum_minimal_pvcs(
-    g: Graph, t: int, stats: Optional[Stats] = None
-) -> Iterator[frozenset[int]]:
-    """Yield every minimal partial vertex cover exactly once; requires max degree < t.
+def enum_minimal_pvcs(g: Graph, t: int, stats: Optional[Stats] = None) -> Iterator[int]:
+    """Yield the vertex mask of every minimal partial vertex cover exactly once;
+    requires max degree < t.
 
     Branches partition the assignments, so the stream is duplicate-free by
     construction; a debug-mode hash set double-checks this on small inputs.
-    The branches wait on an explicit stack of (free, inside) pairs, so the
+    The branches wait on an explicit stack of (free, inside) masks, so the
     depth of the search is not bounded by the recursion limit.
     """
     if g.max_degree() >= t:
         raise ValueError(f"max degree {g.max_degree()} not below bound {t}")
-    seen: Optional[set[frozenset[int]]] = set() if __debug__ and g.n <= 12 else None
-    nbr = g.neighbor_sets()
-    stack = [(frozenset(range(g.n)), frozenset())]
+    seen: Optional[set[int]] = set() if __debug__ and g.n <= 12 else None
+    # a cover is minimal iff it holds no vertex together with its whole neighborhood
+    closed_nbhds = [m | 1 << v for v, m in enumerate(g.neighbor_masks())]
+    stack = [((1 << g.n) - 1, 0)]
     while stack:
         free, inside = stack.pop()
-        pivot = next((v for v in sorted(free) if nbr[v] <= free), None)
-        if pivot is not None:
+        scan = free
+        while scan:  # the pivot is the lowest free vertex whose closed neighborhood is free
+            low = scan & -scan
+            closed = closed_nbhds[low.bit_length() - 1]
+            if not closed & ~free:
+                if stats is not None:
+                    stats.branch_nodes += 1
+                rest = free & ~closed
+                # pushed from the largest proper submask down, the children pop
+                # in increasing mask order
+                sub = closed
+                while sub:
+                    sub = (sub - 1) & closed
+                    stack.append((rest, inside | sub))
+                break
+            scan ^= low
+        else:  # a leaf: sweep the submasks of free in increasing order
             if stats is not None:
-                stats.branch_nodes += 1
-            closed = sorted(nbr[pivot] | {pivot})
-            rest = free - frozenset(closed)
-            # pushed last-first, the children pop in increasing mask order
-            for mask in reversed(range((1 << len(closed)) - 1)):
-                taken = frozenset(v for i, v in enumerate(closed) if (mask >> i) & 1)
-                stack.append((rest, inside | taken))
-            continue
-        rest = sorted(free)
-        if stats is not None:
-            stats.leaf_nodes += 1
-            stats.leaf_subsets += 1 << len(rest)
-        for mask in range(1 << len(rest)):
-            cover = inside | frozenset(rest[i] for i in range(len(rest)) if (mask >> i) & 1)
-            if not is_minimal_pvc(g, cover):
-                continue
-            if seen is not None:
-                assert cover not in seen, f"duplicate cover {sorted(cover)}"
-                seen.add(cover)
-            if stats is not None:
-                stats.emitted += 1
-            yield cover
+                stats.leaf_nodes += 1
+                stats.leaf_subsets += 1 << free.bit_count()
+            span = inside | free
+            risky = [c for c in closed_nbhds if not c & ~span]  # the rest never fit in a cover
+            sub = 0
+            while True:
+                cover = inside | sub
+                for c in risky:
+                    if not c & ~cover:
+                        break
+                else:
+                    if seen is not None:
+                        assert cover not in seen, f"duplicate cover {bits_of(cover)}"
+                        seen.add(cover)
+                    if stats is not None:
+                        stats.emitted += 1
+                    yield cover
+                sub = (sub - free) & free
+                if not sub:
+                    break
 
 
 def leaf_count_log2_bound(n: int, t: int) -> float:
-    """log2 of the soft bound (2^t - 1)^(n/t) * 2^((t-1)n/t) on recursion leaves;
+    """log2 of the soft bound (2^t - 1)^(n/t) * 2^((t-1)n/t) on branch leaves;
     the bound itself overflows a float for large t."""
     return n / t * log2(2**t - 1) + (t - 1) * n / t

@@ -34,6 +34,7 @@ from tss import (
     solve_perfect_thr2,
     solve_perfect_thr3,
 )
+from tss.activation import members
 from tss.stats import Stats
 
 from helpers import (
@@ -106,11 +107,12 @@ def test_criterion_03_mpvc_enumeration_and_covering_witness():
         t = rng.choice([2, 3, 4])
         g = rand_bounded_degree_graph(rng, rng.randint(0, 8), t - 1)
         graphs.append((g, t))
-        got = list(enum_minimal_pvcs(g, t))
+        got = [members(c) for c in enum_minimal_pvcs(g, t)]
         if len(got) != len(set(got)) or set(got) != oracle_enum_mpvc(g):
             failures.append(("enum", idx))
     pair_checks = 0
-    emitted_cache = [(g, t, set(enum_minimal_pvcs(g, t))) for g, t in graphs[:100] if g.n]
+    emitted_cache = [(g, t, {members(c) for c in enum_minimal_pvcs(g, t)})
+                     for g, t in graphs[:100] if g.n]
     while pair_checks < 10_000:
         g, t, emitted = emitted_cache[pair_checks % len(emitted_cache)]
         b = frozenset(v for v in range(g.n) if rng.random() < 0.5)

@@ -340,9 +340,9 @@ def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch
 
 
 def test_solve_bounded_leaves_no_reference_cycles():
-    # the search's recursive closures call themselves through their own cells;
-    # once the call returns those cells are cleared, so reference counting alone
-    # frees the instance, its graph and every nested function
+    # no nested function of the search refers to itself, so once the call
+    # returns reference counting alone frees the instance, its graph and
+    # every nested function
     def call():
         inst = gen_random("gnp", 7, "const", 1, p=0.45, thr_param=2)
         return solve_bounded(inst, 2, 7, 2, gamma=0.0, stats=Stats())

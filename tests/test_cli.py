@@ -142,12 +142,15 @@ def test_enum_mpvc_lines(tmp_path, capsys):
     assert run(["enum-mpvc", path, "--t", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert sorted(lines) == ["", "1", "1,3", "2", "3"]
+    assert lines == ["", "3", "1", "1,3", "2"]  # the emission order
 
 
 def test_enum_mpvc_degree_violation(tmp_path, capsys):
     path = _write(tmp_path, "p3.tss", P3)
     assert run(["enum-mpvc", path, "--t", "2"]) == 2
-    assert "degree" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "degree" in captured.err
+    assert captured.out == ""
 
 
 def test_enum_mpvc_stats_within_soft_leaf_budget(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from tss import Graph, covered_edges, enum_minimal_pvcs, is_minimal_pvc, oracle_enum_mpvc
+from tss.activation import members
 from tss.mpvc import leaf_count_log2_bound
 from tss.stats import Stats
 
@@ -36,23 +37,23 @@ def test_is_minimal_matches_definition():
 
 
 def test_enum_single_edge():
-    got = set(enum_minimal_pvcs(Graph(2, [(0, 1)]), 2))
+    got = {members(c) for c in enum_minimal_pvcs(Graph(2, [(0, 1)]), 2)}
     assert got == {frozenset(), frozenset({0}), frozenset({1})}
 
 
 def test_enum_path():
-    got = list(enum_minimal_pvcs(Graph(3, [(0, 1), (1, 2)]), 3))
+    got = [members(c) for c in enum_minimal_pvcs(Graph(3, [(0, 1), (1, 2)]), 3)]
     assert len(got) == 5
     assert set(got) == oracle_enum_mpvc(Graph(3, [(0, 1), (1, 2)]))
 
 
 def test_enum_edgeless():
-    assert list(enum_minimal_pvcs(Graph(4, []), 1)) == [frozenset()]
+    assert [members(c) for c in enum_minimal_pvcs(Graph(4, []), 1)] == [frozenset()]
 
 
 def test_enum_branches_deeper_than_the_recursion_limit():
     # every isolated vertex is a branch node, one level each: 1,000 levels
-    assert list(enum_minimal_pvcs(Graph(1000, []), 1)) == [frozenset()]
+    assert [members(c) for c in enum_minimal_pvcs(Graph(1000, []), 1)] == [frozenset()]
 
 
 def test_enum_rejects_degree_violation():
@@ -65,7 +66,7 @@ def test_enum_matches_oracle_and_is_duplicate_free():
     for _ in range(120):
         t = rng.choice([2, 3, 4])
         g = rand_bounded_degree_graph(rng, rng.randint(0, 8), t - 1)
-        got = list(enum_minimal_pvcs(g, t))
+        got = [members(c) for c in enum_minimal_pvcs(g, t)]
         assert len(got) == len(set(got))
         assert set(got) == oracle_enum_mpvc(g)
 
@@ -76,7 +77,7 @@ def test_covering_witness_property():
     for _ in range(60):
         t = rng.choice([3, 4])
         g = rand_bounded_degree_graph(rng, rng.randint(1, 8), t - 1)
-        emitted = set(enum_minimal_pvcs(g, t))
+        emitted = {members(c) for c in enum_minimal_pvcs(g, t)}
         for _ in range(20):
             b = frozenset(v for v in range(g.n) if rng.random() < 0.5)
             target = covered_edges(g, b)
@@ -95,7 +96,7 @@ def test_stats_counters():
         assert stats.emitted == emitted
         assert stats.leaf_nodes >= 1
         assert stats.leaf_subsets >= max(emitted, stats.leaf_nodes)
-    # the recursion-leaf budget itself is checked softly in bench mode only
+    # the branch-leaf budget itself is checked softly in bench mode only
     assert leaf_count_log2_bound(8, 3) > 0
 
 
@@ -104,6 +105,6 @@ def test_stats_counters():
 def test_enum_matches_oracle_on_random_graphs(g):
     # every minimal partial vertex cover, each exactly once, at the smallest
     # bound the enumerator accepts
-    got = list(enum_minimal_pvcs(g, g.max_degree() + 1))
+    got = [members(c) for c in enum_minimal_pvcs(g, g.max_degree() + 1)]
     assert len(got) == len(set(got))
     assert set(got) == oracle_enum_mpvc(g)

@@ -18,6 +18,7 @@ from tss.bounded_thr import solve_bounded
 from tss.degree_ratio import solve_ratio_tss
 from tss.dual_thr import solve_dual_perfect
 from tss.instance import gen_random
+from tss.mpvc import enum_minimal_pvcs
 from tss.perfect_small_thr import solve_perfect_thr2, solve_perfect_thr3
 from tss.sliced import solve_sliced
 from tss.stats import Stats
@@ -241,3 +242,25 @@ def test_bound_prunes_pinned(case):
         _, model, n, p, seed, k, l = case
         solve_bounded(gen_random(model, n, "const", seed, p=p, thr_param=2), k, l, 2, stats=stats)
     assert stats.bound_prunes == BOUND_PRUNES[case]
+
+
+# The MPVC enumerator's emission order on two draws at t = max degree + 1:
+# (model, n, seed, flag, value) -> (covers, sum of i * cover mask over the
+# emission index i mod 10^9 + 7, branch_nodes, leaf_nodes, leaf_subsets).
+MPVC_ORDER = {
+    ("regular", 12, 0, "degree", 3): (2401, 539985226, 16, 225, 3600),
+    ("gnp", 10, 1, "p", 0.3): (627, 108732871, 16, 45, 720),
+}
+
+
+@pytest.mark.parametrize("case", list(MPVC_ORDER), ids=lambda c: "-".join(map(str, c)))
+def test_mpvc_order_pinned(case):
+    model, n, seed, flag, value = case
+    g = gen_random(model, n, "const", seed, **{flag: value}).graph
+    stats = Stats()
+    count = checksum = 0
+    for i, cover in enumerate(enum_minimal_pvcs(g, g.max_degree() + 1, stats)):
+        count += 1
+        checksum = (checksum + i * cover) % (10**9 + 7)
+    assert (count, checksum, stats.branch_nodes, stats.leaf_nodes,
+            stats.leaf_subsets) == MPVC_ORDER[case]
