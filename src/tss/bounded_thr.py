@@ -22,9 +22,9 @@ leaves undecided, minimizing the selection size subject to the activation
 target and the record's quotas.
 
 Every vertex set from the root to stage 3 is an int mask, the format of the
-activation kernels; the excluded part of the tri-partition is the complement
-of selected | free. Sets appear only at the MPVC call, the covers it yields
-and the return value of solve_bounded.
+activation kernels, and the MPVC covers arrive as such masks too; the
+excluded part of the tri-partition is the complement of selected | free. The
+only set is the return value of solve_bounded.
 """
 
 from __future__ import annotations

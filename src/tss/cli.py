@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from math import log2
 from typing import Optional, Sequence
 
@@ -65,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--algo", default="auto",
                          choices=[*DECISION_ALGOS, "auto"])
-    p_solve.add_argument("--t", type=int, default=None,
-                         help="threshold bound for --algo bounded (default: max threshold)")
     p_solve.add_argument("--gamma", type=float, default=None,
                          help="override the bounded solver's brute-force cutoff fraction")
     _query_flags(p_solve)
@@ -77,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_perfect.add_argument("file")
     p_perfect.add_argument("--algo", default="auto",
                            choices=[*PERFECT_ALGOS, "auto"])
-    p_perfect.add_argument("--d", type=int, default=None,
-                           help="dual bound for --algo dual (default: max dual value)")
     _common_flags(p_perfect)
     p_perfect.set_defaults(func=_cmd_perfect)
 
@@ -126,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="construct a perfect target set within 0.45n")
     p_con.add_argument("file")
-    p_con.add_argument("--bound045", action="store_true", required=True)
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--force", action="store_true")
     p_con.set_defaults(func=_cmd_construct)
@@ -135,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("files", nargs="+")
     p_bench.add_argument("--algo", default="oracle",
                          help=f"comma-separated: {','.join(BENCH_ALGOS)}")
-    p_bench.add_argument("--t", type=int, default=None)
-    p_bench.add_argument("--d", type=int, default=None)
     p_bench.add_argument("--jobs", type=int, default=1)
     _query_flags(p_bench)
     p_bench.add_argument("--force", action="store_true")
@@ -193,8 +185,7 @@ def _parse_ids(text: str, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _answer(inst: Instance, algo: str, k: int, l: int, stats: Optional[Stats], *,
-            t: Optional[int] = None, d: Optional[int] = None,
+def _answer(inst: Instance, algo: str, k: int, l: int, stats: Optional[Stats],
             gamma: Optional[float] = None) -> tuple[Optional[frozenset[int]], Optional[int], float]:
     """Ask the solver named algo for at most k vertices activating at least l.
 
@@ -211,15 +202,13 @@ def _answer(inst: Instance, algo: str, k: int, l: int, stats: Optional[Stats], *
     elif algo == "third":
         witness = solve_ratio_tss(inst, k, l)
     elif algo == "bounded":
-        t = t if t is not None else max(1, inst.max_threshold())
-        witness = solve_bounded(inst, k, l, t, gamma=gamma, stats=stats)
+        witness = solve_bounded(inst, k, l, max(1, inst.max_threshold()), gamma=gamma, stats=stats)
     elif algo == "thr2":
         witness = solve_perfect_thr2(inst, stats)
     elif algo == "thr3":
         witness = solve_perfect_thr3(inst, stats)
     else:
-        d = d if d is not None else max(0, max(inst.dual_values(), default=0))
-        witness = solve_dual_perfect(inst, d, stats)
+        witness = solve_dual_perfect(inst, stats)
     ms = (time.perf_counter() - start) * 1000
     if witness is None:
         return None, None, ms
@@ -257,21 +246,19 @@ def _print_stats(stats: Stats) -> None:
 
 def _cmd_solve(args) -> int:
     algo = "sliced" if args.algo == "auto" else args.algo
-    if algo != "bounded" and (args.t is not None or args.gamma is not None):
-        raise ValueError("--t and --gamma apply only to --algo bounded")
+    if algo != "bounded" and args.gamma is not None:
+        raise ValueError("--gamma applies only to --algo bounded")
     inst = _load(args.file, args.force)
     k, l = _query_of(inst, args.k, args.l)
     stats = Stats() if args.stats else None
-    return _emit(args, algo, *_answer(inst, algo, k, l, stats, t=args.t, gamma=args.gamma), stats)
+    return _emit(args, algo, *_answer(inst, algo, k, l, stats, args.gamma), stats)
 
 
 def _cmd_perfect(args) -> int:
     algo = "sliced" if args.algo == "auto" else args.algo
-    if algo != "dual" and args.d is not None:
-        raise ValueError("--d applies only to --algo dual")
     inst = _load(args.file, args.force)
     stats = Stats() if args.stats else None
-    return _emit(args, algo, *_answer(inst, algo, inst.n, inst.n, stats, d=args.d), stats)
+    return _emit(args, algo, *_answer(inst, algo, inst.n, inst.n, stats), stats)
 
 
 def _cmd_simulate(args) -> int:
@@ -378,13 +365,16 @@ def _cmd_bench(args) -> int:
         if a not in BENCH_ALGOS:
             raise ValueError(f"unknown bench algorithm {a!r}")
     tasks = [
-        (path, algo, args.t, args.d, args.k, args.l, args.force)
+        (path, algo, args.k, args.l, args.force)
         for path in args.files
         for algo in algos
     ]
     # every worker of a pool is started at its first task, so ask for no more than there are rows
     workers = min(args.jobs, len(tasks))
     if workers > 1:
+        # imported here: every other command would pay for loading the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_row, tasks))
     else:
@@ -394,18 +384,19 @@ def _cmd_bench(args) -> int:
 
 
 def _bench_row(task: tuple) -> str:
-    path, algo, t_flag, d_flag, k_flag, l_flag, force = task
+    path, algo, k_flag, l_flag, force = task
     inst = _load(path, force)
     stats = Stats()
     if algo == "enum-mpvc":
         start = time.perf_counter()
-        t = t_flag if t_flag is not None else inst.graph.max_degree() + 1
+        # the enumerator only checks t against the degrees, so any t above them counts the same
+        t = inst.graph.max_degree() + 1
         answer, size = "YES", sum(1 for _ in enum_minimal_pvcs(inst.graph, t, stats))
         ms = (time.perf_counter() - start) * 1000
         leaves = stats.leaf_nodes
     else:
         k, l = _query_of(inst, k_flag, l_flag) if algo in DECISION_ALGOS else (inst.n, inst.n)
-        witness, _, ms = _answer(inst, algo, k, l, stats, t=t_flag, d=d_flag)
+        witness, _, ms = _answer(inst, algo, k, l, stats)
         answer = "NO" if witness is None else "YES"
         size = None if witness is None else len(witness)
         leaves = stats.br2_leaves + stats.stage2_leaves

@@ -201,7 +201,7 @@ def test_criterion_07_dual_solver_matches_oracle_and_degeneracy():
         n = rng.randint(1, 12)
         d = rng.choice([0, 1, 2])
         inst = rand_dual_instance(rng, n, d, p=rng.choice([0.3, 0.5, 0.7]))
-        answer = solve_dual_perfect(inst, d)
+        answer = solve_dual_perfect(inst)
         if len(answer) != len(oracle_min_perfect_tss(inst)):
             failures.append(("min", idx))
         duals = inst.dual_values()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -63,7 +64,7 @@ def test_solve_algorithms_agree(tmp_path, capsys):
 
 def test_solve_stats_lines(tmp_path, capsys):
     path = _write(tmp_path, "k3.tss", K3)
-    assert run(["solve", path, "--algo", "bounded", "--t", "2", "--stats"]) == 0
+    assert run(["solve", path, "--algo", "bounded", "--stats"]) == 0
     out = capsys.readouterr().out
     assert "br1_apps=" in out and "dp_states=" in out
     # every algorithm prints the whole schema, sorted, after its answer line
@@ -238,7 +239,7 @@ def test_gadget_command(tmp_path, capsys):
 def test_construct_command(tmp_path, capsys):
     text = "p tss 4 3\nt 1 1\nt 2 1\nt 3 1\nt 4 1\ne 1 2\ne 2 3\ne 3 4\n"
     path = _write(tmp_path, "path4.tss", text)
-    assert run(["construct", path, "--bound045", "--seed", "5"]) == 0
+    assert run(["construct", path, "--seed", "5"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("size=1 set=")
 
@@ -251,25 +252,28 @@ def test_construct_peels_deeper_than_the_recursion_limit(tmp_path, capsys):
     edges += [(i, spine + 2 * i + j) for i in range(spine) for j in range(2)]
     inst = Instance(Graph(3 * spine, edges), (1,) * (3 * spine))
     path = _write(tmp_path, "caterpillar.tss", write_instance(inst))
-    assert run(["construct", path, "--bound045"]) == 0
+    assert run(["construct", path]) == 0
     ids = ",".join(map(str, range(1, spine + 1)))  # the spine, peeled from its first vertex
     assert capsys.readouterr().out.strip() == f"size={spine} set={ids}"
 
 
 def test_flags_the_chosen_solver_ignores_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "k3t1.tss", K3_THR1)
-    for argv in (["solve", path, "--t", "2"], ["solve", path, "--gamma", "0.0"],
-                 ["solve", path, "--algo", "oracle", "--t", "2"],
+    for argv in (["solve", path, "--gamma", "0.0"],
+                 ["solve", path, "--algo", "oracle", "--gamma", "0.0"],
                  ["solve", path, "--algo", "sliced", "--gamma", "0.5"]):
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "--algo bounded" in err, argv
-    for argv in (["perfect", path, "--d", "1"], ["perfect", path, "--algo", "thr2", "--d", "1"]):
+    # the solvers work out the bounds t and d from the instance, so no command takes them
+    for argv in (["solve", path, "--algo", "bounded", "--t", "2"],
+                 ["perfect", path, "--algo", "dual", "--d", "1"],
+                 ["bench", path, "--algo", "enum-mpvc", "--t", "3"],
+                 ["bench", path, "--algo", "dual", "--d", "1"],
+                 ["construct", path, "--bound045"]):
         assert run(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and "--algo dual" in err, argv
-    assert run(["solve", path, "--algo", "bounded", "--t", "2"]) == 0
-    assert run(["perfect", path, "--algo", "dual", "--d", "2"]) == 0
+        assert capsys.readouterr().out == "", argv
+    assert run(["solve", path, "--algo", "bounded", "--gamma", "0.0"]) == 0
 
 
 def test_verify_command(tmp_path, capsys):
@@ -291,8 +295,8 @@ def test_verify_rejects_negative_flags(tmp_path, capsys):
 
 def test_bench_failing_row_prints_nothing(tmp_path, capsys):
     # the header comes with the rows, so a row that fails leaves stdout empty
-    path = _write(tmp_path, "k3.tss", K3_THR1)
-    assert run(["bench", path, "--algo", "dual", "--d", "-1"]) == 2
+    path = _write(tmp_path, "k4t3.tss", write_instance(complete_instance(4, 3)))
+    assert run(["bench", path, "--algo", "thr2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
@@ -301,7 +305,7 @@ def test_bench_failing_row_prints_nothing(tmp_path, capsys):
 def test_bench_csv(tmp_path, capsys):
     k3 = _write(tmp_path, "k3.tss", K3)
     p3 = _write(tmp_path, "p3.tss", P3)
-    assert run(["bench", k3, p3, "--algo", "oracle,bounded,thr2,enum-mpvc", "--t", "3"]) == 0
+    assert run(["bench", k3, p3, "--algo", "oracle,bounded,thr2,enum-mpvc"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "instance,n,m,algo,answer,size,leaves,dp_states,ms"
     assert len(lines) == 1 + 2 * 4
@@ -339,7 +343,7 @@ def test_bench_jobs_capped_at_row_count(tmp_path, capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     k3 = _write(tmp_path, "k3.tss", K3)
     p3 = _write(tmp_path, "p3.tss", P3)
     assert run(["bench", k3, "--algo", "oracle", "--jobs", "64"]) == 0

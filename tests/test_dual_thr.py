@@ -34,12 +34,12 @@ def test_is_d_degenerate_basics():
 
 def test_star_with_greedy_center():
     inst = Instance(star_graph(3), (3, 1, 1, 1))
-    assert solve_dual_perfect(inst, 0) == frozenset({0})
+    assert solve_dual_perfect(inst) == frozenset({0})
 
 
 def test_triangle_all_duals_zero():
     inst = complete_instance(3, 2)
-    assert len(solve_dual_perfect(inst, 0)) == 2
+    assert len(solve_dual_perfect(inst)) == 2
 
 
 def test_equals_complement_of_max_independent_set_when_thr_is_deg():
@@ -49,7 +49,7 @@ def test_equals_complement_of_max_independent_set_when_thr_is_deg():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
         g = Graph(n, edges)
         inst = Instance(g, tuple(g.degree(v) for v in range(n)))
-        answer = solve_dual_perfect(inst, 0)
+        answer = solve_dual_perfect(inst)
         assert n - len(answer) == len(oracle_max_d_degenerate(g, 0))
 
 
@@ -75,7 +75,7 @@ def test_matches_oracle_minimum():
         n = rng.randint(1, 10)
         d = rng.randint(0, 2)
         inst = rand_dual_instance(rng, n, d)
-        answer = solve_dual_perfect(inst, d)
+        answer = solve_dual_perfect(inst)
         assert is_perfect_target_set(inst, answer)
         assert len(answer) == len(oracle_min_perfect_tss(inst)), (inst.thr, inst.graph.edges(), d)
 
@@ -91,24 +91,16 @@ def test_complement_matches_max_degenerate_for_equal_duals():
         if any(g.degree(v) < d for v in range(n)):
             continue
         inst = Instance(g, thr)
-        answer = solve_dual_perfect(inst, d)
+        answer = solve_dual_perfect(inst)
         assert n - len(answer) == len(oracle_max_d_degenerate(g, d))
 
 
 def test_oversubscribed_vertices_forced_into_answer():
     # thr above degree means the vertex can only ever activate by selection
     inst = Instance(Graph(3, [(0, 1)]), (5, 1, 2))
-    answer = solve_dual_perfect(inst, 5)
+    answer = solve_dual_perfect(inst)
     assert 0 in answer and 2 in answer
     assert len(answer) == len(oracle_min_perfect_tss(inst))
-
-
-def test_precondition():
-    inst = Instance(Graph(3, [(0, 1), (1, 2), (0, 2)]), (0, 0, 0))
-    with pytest.raises(ValueError):
-        solve_dual_perfect(inst, 1)  # duals are 2
-    with pytest.raises(ValueError):
-        solve_dual_perfect(inst, -1)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -128,7 +120,6 @@ def test_dual_solver_is_minimum_and_perfect(g, data):
     # thr(v) = deg(v) + 1 gives a negative dual value: v activates only when selected
     thr = tuple(data.draw(st.integers(0, g.degree(v) + 1)) for v in range(g.n))
     inst = Instance(g, thr)
-    d = max(0, max(inst.dual_values(), default=0))
-    answer = solve_dual_perfect(inst, d)
+    answer = solve_dual_perfect(inst)
     assert len(answer) == len(oracle_min_perfect_tss(inst))
     assert closure(inst, answer) == frozenset(range(g.n))

@@ -90,7 +90,7 @@ def _run(case: tuple, monkeypatch):
         _, n, d, seed = case
         inst = gen_random("gnp", n, "dual", seed, p=0.4, thr_param=d)
         stats = Stats()
-        witness = solve_dual_perfect(inst, d, stats)
+        witness = solve_dual_perfect(inst, stats)
         return _sorted(witness), stats.dual_nodes
     if kind == "sliced":
         _, model, n, p, seed, t, k, l = case
@@ -237,7 +237,7 @@ def test_bound_prunes_pinned(case):
     stats = Stats()
     if case[0] == "dual":
         _, n, d, seed = case
-        solve_dual_perfect(gen_random("gnp", n, "dual", seed, p=0.4, thr_param=d), d, stats)
+        solve_dual_perfect(gen_random("gnp", n, "dual", seed, p=0.4, thr_param=d), stats)
     else:
         _, model, n, p, seed, k, l = case
         solve_bounded(gen_random(model, n, "const", seed, p=p, thr_param=2), k, l, 2, stats=stats)
