@@ -7,7 +7,6 @@ is monotone and reaches its fixpoint within n rounds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, repeat
@@ -126,33 +125,44 @@ def edges_within(masks: Sequence[int], mask: int) -> int:
     return sum((masks[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
-def threshold_prefix(thresholds: Iterable[int]) -> list[int]:
-    """Prefix sums of the sorted thresholds, starting at 0; the table fitting() reads."""
-    return list(accumulate(sorted(thresholds), initial=0))
+def fit_table(thr: Sequence[int]) -> list[tuple[int, int]]:
+    """[(value, mask of the vertices with that threshold)], values ascending:
+    the table fitting() reads, built once per solve."""
+    groups: dict[int, int] = {}
+    for v, x in enumerate(thr):
+        groups[x] = groups.get(x, 0) | 1 << v
+    return sorted(groups.items())
 
 
-def fitting(prefix: Sequence[int], budget: int) -> int:
-    """F: how many of the smallest thresholds fit in budget (-1 when budget < 0).
+def fitting(table: Sequence[tuple[int, int]], mask: int, budget: int) -> int:
+    """F: how many of the smallest thresholds of the vertices in mask fit in
+    budget (-1 when budget < 0), table being fit_table() of all thresholds.
 
-    prefix is threshold_prefix() of the thresholds outside a seed's known part
-    S. This is the counting bound of Ackerman, Ben-Zwi and Wolfovitz
+    This is the counting bound of Ackerman, Ben-Zwi and Wolfovitz
     ("Combinatorial model and bounds for target set selection", TCS 2010):
     orient each edge from the endpoint that activates first; every activated
     vertex v outside the seed X then owns thr(v) incoming edges, and an edge
     inside X serves none, so the thresholds of the activated vertices outside
-    X sum to at most m - e(X).
-    For S within X, at most F(S) = fitting(prefix of V - S, m - e(S)) vertices
-    outside X activate, so a perfect X has at least n - F(S) members and one
-    activating l vertices at least l - F(S). F only shrinks as S grows.
+    X sum to at most m - e(X). For S within X, at most F(S) = fitting(table,
+    ~S, m - e(S)) vertices outside X activate, and F only shrinks as S grows.
     """
-    return bisect_right(prefix, budget) - 1
+    if budget < 0:
+        return -1
+    fit = 0
+    for value, group in table:
+        count = (group & mask).bit_count()
+        if count * value > budget:  # whole groups while their sum fits, then part of this one
+            return fit + budget // value
+        fit += count
+        budget -= count * value
+    return fit
 
 
-def counting_bound(masks: Sequence[int], thr: Sequence[int], m: int, known: int, l: int) -> int:
+def counting_bound(masks: Sequence[int], table: Sequence[tuple[int, int]], m: int,
+                   known: int, l: int) -> int:
     """l - F(known): the fewest members a seed holding the vertex mask known
     needs to activate l vertices, m being the number of edges (see fitting)."""
-    rest = threshold_prefix(thr[v] for v in range(len(masks)) if not (known >> v) & 1)
-    return l - fitting(rest, m - edges_within(masks, known))
+    return l - fitting(table, ~known, m - edges_within(masks, known))
 
 
 def mask_of(vertices: Iterable[int]) -> int:

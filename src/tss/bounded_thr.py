@@ -33,7 +33,7 @@ from math import comb, log2
 from typing import Callable, Optional, Sequence
 
 from .activation import (
-    bits_of, closure_mask, counting_bound, first_reaching, mask_of, members, seed_masks,
+    bits_of, closure_mask, counting_bound, first_reaching, fit_table, mask_of, members, seed_masks,
 )
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .instance import Instance
@@ -44,11 +44,11 @@ from .stats import Stats
 def compute_constants(t: int) -> tuple[float, float]:
     """(omega_t, gamma_t): the cover-enumeration exponent and the brute-force
     cutoff fraction balancing stage 1 against stages 2-3. Both are strictly
-    below 1 for every t >= 1.
+    below 1 for every t >= 1. Past 53 bits a float reads 2^t - 1 as 2^t.
     """
     if t < 1:
         raise ValueError("threshold bound must be at least 1")
-    omega = log2(2**t - 1) / t**2 + (t - 1) / t
+    omega = (log2(2**t - 1) if t <= 53 else float(t)) / t**2 + (t - 1) / t
     pair_bits = log2(comb(t + 2, 2))
     gamma = ((t - 1) + pair_bits) / ((t - omega) + pair_bits)
     return omega, gamma
@@ -279,11 +279,12 @@ def solve_bounded(
     if gamma is None:
         gamma = compute_constants(max(t, 1))[1]
     n, m, thr, masks = inst.n, inst.graph.m, inst.thr, inst.graph.neighbor_masks()
+    table = fit_table(thr)
 
     def prune(selected: int, free: int, act: int) -> bool:
         if selected.bit_count() > k:
             return True
-        if l > n or counting_bound(masks, thr, m, selected, l) > k:
+        if l > n or counting_bound(masks, table, m, selected, l) > k:
             if stats is not None:
                 stats.bound_prunes += 1
             return True
@@ -295,7 +296,7 @@ def solve_bounded(
             if stats is not None:
                 stats.br2_leaves += 1
             seed, tested = first_reaching(masks, thr, bits_of(free), k - size, l, act,
-                                          counting_bound(masks, thr, m, selected, l) - size)
+                                          counting_bound(masks, table, m, selected, l) - size)
             if stats is not None:
                 stats.leaf_seeds += tested
             return None if seed is None else selected | (seed & ~act)

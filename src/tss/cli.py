@@ -1,7 +1,8 @@
 """Command-line front end: solving, simulation, enumeration, generation, benchmarking.
 
 Exit codes: 0 for YES/success, 1 for NO (or failed verification), 2 for usage
-or input errors. Output is deterministic for fixed inputs and seeds.
+or input errors, 141 (a shell's status for a writer killed by SIGPIPE) when the
+reader of stdout stops early. Output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from math import log2
@@ -31,10 +33,14 @@ from .stats import Stats
 DECISION_ALGOS = ("oracle", "bounded", "third", "sliced")
 PERFECT_ALGOS = ("oracle", "thr2", "thr3", "dual", "sliced")
 BENCH_ALGOS = tuple(dict.fromkeys((*DECISION_ALGOS, *PERFECT_ALGOS, "enum-mpvc")))
+PIPE_CLOSED = 141  # the exit code once stdout's reader has gone, printing nothing
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == PIPE_CLOSED:  # stdout to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 def run(argv: Sequence[str]) -> int:
@@ -43,7 +49,11 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # a reader that stops early is not an input error
+        return PIPE_CLOSED
     except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,12 +10,9 @@ subgraph; per-vertex dual values generalize the peeling bound per vertex.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
-from operator import mul
 from typing import Optional, Sequence
 
-from .activation import edges_within, mask_of, members
+from .activation import edges_within, fit_table, fitting, mask_of, members
 from .instance import Graph, Instance
 from .stats import Stats
 
@@ -48,18 +45,7 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
     thr = inst.thr
     m = inst.graph.m
     candidates = [v for v in range(inst.n) if duals[v] >= 0]
-    values = sorted({thr[v] for v in candidates})
-    slot = {x: j for j, x in enumerate(values)}
-    per_value = [0] * len(values)
-    # suffix[i]: for candidates[i:], how many thresholds lie below each value
-    # and their sum, then all of them; O(distinct thresholds) ints a suffix
-    suffix: list[tuple[list[int], list[int]]] = [([], [])] * (len(candidates) + 1)
-    for i in range(len(candidates), -1, -1):
-        if i < len(candidates):
-            per_value[slot[thr[candidates[i]]]] += 1
-        suffix[i] = (list(accumulate(per_value, initial=0)),
-                     list(accumulate(map(mul, per_value, values), initial=0)))
-    values.append(m + 1)  # past the last value no budget buys another
+    table = fit_table(thr)
     out = ((1 << inst.n) - 1) ^ mask_of(candidates)
     best = 0
     # a node: next candidate, pick, thr(pick), vertices decided out, e(out)
@@ -68,12 +54,8 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
         i, pick, pick_thr, out, e_out = stack.pop()
         if stats is not None:
             stats.dual_nodes += 1
-        # F over candidates[i:]: whole values while their sum fits, then as
-        # many of the next as the rest pays for (the last value fits none)
-        counts, sums = suffix[i]
-        budget = m - pick_thr - e_out
-        j = bisect_right(sums, budget) - 1
-        grow = -1 if j < 0 else counts[j] + (budget - sums[j]) // values[j]
+        # the undecided candidates, candidates[i:], are the vertices neither picked nor out
+        grow = fitting(table, ~(pick | out), m - pick_thr - e_out)
         if pick.bit_count() + grow <= best.bit_count():
             if stats is not None:
                 stats.bound_prunes += 1

@@ -100,6 +100,6 @@ def enum_minimal_pvcs(g: Graph, t: int, stats: Optional[Stats] = None) -> Iterat
 
 
 def leaf_count_log2_bound(n: int, t: int) -> float:
-    """log2 of the soft bound (2^t - 1)^(n/t) * 2^((t-1)n/t) on branch leaves;
-    the bound itself overflows a float for large t."""
-    return n / t * log2(2**t - 1) + (t - 1) * n / t
+    """log2 of the soft bound (2^t - 1)^(n/t) * 2^((t-1)n/t) on branch leaves, which
+    overflows a float for large t; past 53 bits a float reads 2^t - 1 as 2^t."""
+    return n / t * (log2(2**t - 1) if t <= 53 else float(t)) + (t - 1) * n / t

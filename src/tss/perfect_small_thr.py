@@ -10,19 +10,20 @@ and original vertices behave exactly as before; minima shift by exactly t*t.
 On the equalized instance a two-part search runs: part 1 brute-forces small
 candidate sets in ascending size, part 2 is bounded_thr.branch_and_reduce
 with degree-based reduction and branching rules, finishing each stable branch
-by exhausting the free part. The counting bound (activation.fitting) sets the
-first size of each brute force and prunes part 2's nodes that cannot beat the
-incumbent.
+by exhausting the free part. The counting bound (activation.counting_bound)
+sets the first size of each brute force and prunes part 2's nodes that cannot
+beat the incumbent.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import floor
 from typing import Optional
 
 from .activation import (
-    bits_of, closure_mask, edges_within, fitting, is_perfect_target_set, mask_of, members,
-    seed_masks, threshold_prefix,
+    bits_of, closure_mask, counting_bound, fit_table, is_perfect_target_set, mask_of, members,
+    seed_masks,
 )
 from .activation import closure  # noqa: F401  perfbench/spans.py wraps this name
 from .bounded_thr import Split, br1_split, branch_and_reduce
@@ -101,15 +102,7 @@ def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Sta
     leaves = mask_of(v for v in range(n_orig, n) if (v - n_orig) % (t + 1) != 0)
     full_mask = (1 << n) - 1
     m = eq.graph.m
-    prefix = threshold_prefix(thr)
-
-    def lower(selected: int) -> int:
-        # the counting bound; every threshold is t, so the table of all n serves
-        # once F is capped at the n - |selected| vertices outside selected.
-        # activation.counting_bound, which sorts a fresh table per call, took
-        # thr3's part 2 on 4-regular draws from 4.0 to 5.5 ms
-        budget = m - edges_within(masks, selected)
-        return n - min(fitting(prefix, budget), n - selected.bit_count())
+    lower = partial(counting_bound, masks, fit_table(thr), m, l=n)  # of a selection, at l = n
 
     # Part 1: ascending brute force from the counting bound up to part1_max. Star
     # leaves (one neighbor, threshold t >= 2) sit in every perfect target set; what

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .activation import bits_of, closure_mask, counting_bound, first_reaching, mask_of, members
+from .activation import (
+    bits_of, closure_mask, counting_bound, first_reaching, fit_table, mask_of, members,
+)
 from .instance import Instance
 from .stats import Stats
 
@@ -25,7 +27,7 @@ def solve_sliced(inst: Instance, k: int, l: int,
     if l > n or size > k:
         return None
     base = closure_mask(masks, thr, forced)
-    lower = counting_bound(masks, thr, inst.graph.m, forced, l)
+    lower = counting_bound(masks, fit_table(thr), inst.graph.m, forced, l)
     seed, tested = first_reaching(masks, thr, bits_of(~base & ((1 << n) - 1)), k - size, l,
                                   base, lower - size)
     if stats is not None:

@@ -11,8 +11,8 @@ from tss import (
 )
 import tss.activation as activation
 from tss.activation import (
-    closure_mask, counting_bound, edges_within, first_reaching, fitting, mask_of, seed_masks,
-    threshold_prefix,
+    closure_mask, counting_bound, edges_within, first_reaching, fit_table, fitting, mask_of,
+    seed_masks,
 )
 
 from helpers import complete_instance, graphs, naive_rounds, path_instance, rand_gnp_instance
@@ -143,20 +143,45 @@ def test_closure_mask_seeded_from_closure(g, data):
     )
 
 
+def _sorted_fit(thresholds, budget: int) -> int:
+    """F by sorting and counting: how many of the smallest thresholds fit in budget."""
+    if budget < 0:
+        return -1
+    fit = 0
+    for x in sorted(thresholds):
+        if x > budget:
+            break
+        budget -= x
+        fit += 1
+    return fit
+
+
 def _fit(inst: Instance, selected: frozenset[int]) -> int:
     """F(selected): how many vertices outside a seed holding selected can activate."""
-    rest = threshold_prefix(inst.thr[v] for v in range(inst.n) if v not in selected)
-    masks = inst.graph.neighbor_masks()
-    return fitting(rest, inst.graph.m - edges_within(masks, mask_of(selected)))
+    e = sum(1 for u, v in inst.graph.edges() if u in selected and v in selected)
+    rest = [inst.thr[v] for v in range(inst.n) if v not in selected]
+    return _sorted_fit(rest, inst.graph.m - e)
 
 
 def test_edges_within_and_fitting():
     inst = path_instance((1, 2, 2, 1))
     masks = inst.graph.neighbor_masks()
     assert [edges_within(masks, mask) for mask in (0, 0b0011, 0b0101, 0b1111)] == [0, 1, 0, 3]
-    prefix = threshold_prefix((2, 1, 2))
-    assert prefix == [0, 1, 3, 5]
-    assert [fitting(prefix, budget) for budget in (-1, 0, 1, 2, 4, 5, 9)] == [-1, 0, 1, 1, 2, 3, 3]
+    table = fit_table((2, 1, 2, 0))
+    assert table == [(0, 0b1000), (1, 0b0010), (2, 0b0101)]
+    assert [fitting(table, 0b0111, budget) for budget in (-1, 0, 1, 2, 4, 5, 9)] == [
+        -1, 0, 1, 1, 2, 3, 3]
+    # the threshold-0 vertex fits in any budget that is not negative
+    assert [fitting(table, ~0, budget) for budget in (-1, 0, 1, 9)] == [-1, 1, 2, 4]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(st.integers(0, 5), max_size=12), st.data())
+def test_fitting_matches_sort_and_count(thr, data):
+    mask = data.draw(st.integers(-(1 << 13), (1 << 13) - 1))
+    budget = data.draw(st.integers(-3, 5 * len(thr) + 3))
+    inside = [thr[v] for v in range(len(thr)) if (mask >> v) & 1]
+    assert fitting(fit_table(thr), mask, budget) == _sorted_fit(inside, budget)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -183,8 +208,9 @@ def test_counting_bound_never_exceeds_a_decision_witness(g, data):
     # counting_bound is the same l - F, and a known part of the witness keeps it below
     masks = g.neighbor_masks()
     part = mask_of(v for v in witness if data.draw(st.booleans()))
-    assert counting_bound(masks, thr, g.m, 0, l) == l - _fit(inst, frozenset())
-    assert counting_bound(masks, thr, g.m, part, l) <= len(witness)
+    table = fit_table(thr)
+    assert counting_bound(masks, table, g.m, 0, l) == l - _fit(inst, frozenset())
+    assert counting_bound(masks, table, g.m, part, l) <= len(witness)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)

@@ -46,6 +46,14 @@ def test_constants_below_one():
         compute_constants(0)
 
 
+def test_constants_match_the_exact_expression():
+    # past 53 bits compute_constants reads log2(2^t - 1) as t; the values stay bit-identical
+    for t in range(1, 2001):
+        omega = math.log2(2**t - 1) / t**2 + (t - 1) / t
+        pair_bits = math.log2(math.comb(t + 2, 2))
+        assert compute_constants(t) == (omega, ((t - 1) + pair_bits) / ((t - omega) + pair_bits))
+
+
 def test_triangle_decisions():
     inst = complete_instance(3, 2)
     for gamma in (None, 0.0):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -543,6 +544,35 @@ def test_python_m_runs_the_cli():
     done = cli("gen", "--model", "regular", "--n", "5", "--degree", "3",
                "--thr-model", "const", "--seed", "1")
     assert done.returncode == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_quietly(unbuffered):
+    """A reader that stops early is not an input error: no diagnostic, exit 141."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tss.cli", "perfect", "samples/triangle.tss", "--algo", "dual",
+             "--stats"], cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_huge_threshold_builds_no_wide_integer(tmp_path, capsys):
+    # log2(2^t - 1) as a t-bit integer would take about 125 GB at t = 10^12
+    path = _write(tmp_path, "wide.tss",
+                  "p tss 3 2\nt 1 1\nt 2 1000000000000\nt 3 1\ne 1 2\ne 2 3\nq 1 3\n")
+    start = time.perf_counter()
+    assert run(["solve", path, "--algo", "bounded", "--json"]) == 0
+    elapsed = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out)["witness"] == [2]
+    assert elapsed < 0.1
 
 
 def test_parser_reuse_leaks_no_values(tmp_path, capsys):

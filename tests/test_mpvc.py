@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -98,6 +99,12 @@ def test_stats_counters():
         assert stats.leaf_subsets >= max(emitted, stats.leaf_nodes)
     # the branch-leaf budget itself is checked softly in bench mode only
     assert leaf_count_log2_bound(8, 3) > 0
+
+
+def test_leaf_count_bound_matches_the_exact_expression():
+    # past 53 bits the bound reads log2(2^t - 1) as t; the values stay bit-identical
+    for t in range(1, 2001):
+        assert leaf_count_log2_bound(12, t) == 12 / t * math.log2(2**t - 1) + (t - 1) * 12 / t
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
