@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -37,6 +38,11 @@ PIPE_CLOSED = 141  # the exit code once stdout's reader has gone, printing nothi
 
 
 def main() -> None:
+    buffer = getattr(sys.stdout, "buffer", None)
+    if isinstance(buffer, io.RawIOBase):  # unbuffered (-u): a raw write to a closed pipe
+        # can come back short, which TextIOWrapper ignores; a buffered one raises EPIPE
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(buffer), sys.stdout.encoding,
+                                      sys.stdout.errors, line_buffering=True)
     code = run(sys.argv[1:])
     if code == PIPE_CLOSED:  # stdout to devnull, so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

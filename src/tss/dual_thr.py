@@ -21,7 +21,7 @@ def is_d_degenerate(g: Graph, d: int) -> bool:
     """True iff repeatedly deleting any vertex with at most d remaining neighbors empties g."""
     if d < 0:
         raise ValueError("degeneracy bound must be non-negative")
-    return _peels_empty(g.neighbor_masks(), (1 << g.n) - 1, [d] * g.n)
+    return not _core(g.neighbor_masks(), (1 << g.n) - 1, [d] * g.n)
 
 
 def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozenset[int]:
@@ -35,8 +35,12 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
     a perfect set's complement found so far, so by the counting bound it can
     grow only by the remaining candidates whose smallest thresholds fit in
     m - thr(pick) - e(out), out being the vertices decided out of it; a node
-    whose pick cannot beat the incumbent that way is pruned. The nodes sit on
-    an explicit stack, so no recursion limit caps the depth of the search.
+    whose pick cannot beat the incumbent that way is pruned. Whether v can join
+    the pick is settled, cheapest first, by v peeling first (at most its bound
+    of neighbours in the pick), by the pick being a subset of one v last joined,
+    by the pick holding the last core v was stuck in, and only then by a peel,
+    which stops once v goes. The nodes sit on an explicit stack, so no
+    recursion limit caps the depth of the search.
     The paper bounds the running time by d = max(deg(v) - thr(v)); the search
     never reads d, so it takes none.
     """
@@ -48,6 +52,10 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
     table = fit_table(thr)
     out = ((1 << inst.n) - 1) ^ mask_of(candidates)
     best = 0
+    # joined[v]: the last pick v was peeled into; stuck[v]: the last core of pick | v,
+    # minus v (-1, all ones, lies in no pick)
+    joined = [0] * inst.n
+    stuck = [-1] * inst.n
     # a node: next candidate, pick, thr(pick), vertices decided out, e(out)
     stack = [(0, 0, 0, out, edges_within(masks, out))]
     while stack:
@@ -66,25 +74,40 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
         v = candidates[i]
         # the child leaving v out runs second, so it goes below the one picking v
         stack.append((i + 1, pick, pick_thr, out | 1 << v, e_out + (masks[v] & out).bit_count()))
-        if _peels_empty(masks, pick | 1 << v, duals):
-            stack.append((i + 1, pick | 1 << v, pick_thr + thr[v], out, e_out))
+        if (masks[v] & pick).bit_count() > duals[v] and pick & ~joined[v]:
+            if not stuck[v] & ~pick:
+                continue
+            if stats is not None:
+                stats.dual_peels += 1
+            core = _core(masks, pick | 1 << v, duals, v)
+            if core:
+                stuck[v] = core ^ 1 << v
+                continue
+            joined[v] = pick
+        stack.append((i + 1, pick | 1 << v, pick_thr + thr[v], out, e_out))
     return frozenset(range(inst.n)) - members(best)
 
 
-def _peels_empty(masks: Sequence[int], remaining: int, bound: Sequence[int]) -> bool:
-    """Whether deleting vertices with remaining degree <= their own bound empties
-    the vertex mask remaining. Deleting an eligible vertex never blocks another,
-    so a sweep deletes each eligible vertex it meets; one that deletes none is stuck.
+def _core(masks: Sequence[int], remaining: int, bound: Sequence[int], v: int = -1) -> int:
+    """The core of the vertex mask remaining: what is left once vertices with at
+    most their bound of remaining neighbours are deleted, so each of its vertices
+    has more than its bound of neighbours in it; 0 when the peel empties remaining.
+    Deleting an eligible vertex never blocks another, so a sweep deletes each
+    eligible vertex it meets; one that deletes none is stuck. Given v, remaining
+    minus v must peel empty; the peel then stops once v goes, since what is left
+    is a subset of that set, and peeling empty is hereditary.
     """
-    pending = [v for v in range(remaining.bit_length()) if (remaining >> v) & 1]
+    pending = [u for u in range(remaining.bit_length()) if (remaining >> u) & 1]
     while pending:
         still: list[int] = []
-        for v in pending:
-            if (masks[v] & remaining).bit_count() <= bound[v]:
-                remaining ^= 1 << v
+        for u in pending:
+            if (masks[u] & remaining).bit_count() <= bound[u]:
+                if u == v:
+                    return 0
+                remaining ^= 1 << u
             else:
-                still.append(v)
+                still.append(u)
         if len(still) == len(pending):
-            return False
+            return remaining
         pending = still
-    return True
+    return 0

@@ -37,6 +37,7 @@ class Stats:
     part1_found: bool = False
     leaf_bruteforces: int = 0
     dual_nodes: int = 0  # dual: nodes of the branch-and-bound
+    dual_peels: int = 0  # dual: full peels run to test whether a vertex joins the pick
     # minimal partial vertex cover enumeration
     branch_nodes: int = 0
     leaf_nodes: int = 0

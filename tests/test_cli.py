@@ -564,6 +564,25 @@ def test_closed_stdout_ends_quietly(unbuffered):
     assert (done.returncode, done.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_gone_mid_write_ends_quietly(unbuffered):
+    """A reader that leaves after 10 bytes of a 600 KB write gives exit 141, unbuffered too:
+    the rest of the output is lost, which must not read as success."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tss.cli", "gen", "--model", "gnp", "--n", "1500", "--p", "0.05",
+         "--thr-model", "const", "--thr-value", "1", "--seed", "1"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (head, proc.wait(timeout=60), err) == (b"p tss 1500", 141, b"")
+
+
 def test_huge_threshold_builds_no_wide_integer(tmp_path, capsys):
     # log2(2^t - 1) as a t-bit integer would take about 125 GB at t = 10^12
     path = _write(tmp_path, "wide.tss",

@@ -13,8 +13,8 @@ from tss import (
     oracle_min_perfect_tss,
     solve_dual_perfect,
 )
-from tss.activation import closure, mask_of
-from tss.dual_thr import _peels_empty
+from tss.activation import closure, mask_of, members
+from tss.dual_thr import _core
 from tss.oracle import _peels_empty as oracle_peels_empty
 
 from helpers import complete_instance, graphs, rand_dual_instance, star_graph
@@ -109,9 +109,43 @@ def test_mask_peel_matches_oracle_peel(g, data):
     bound = data.draw(st.lists(st.integers(-1, 4), min_size=g.n, max_size=g.n))
     keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     remaining = {v for v in range(g.n) if keep[v]}
-    assert _peels_empty(g.neighbor_masks(), mask_of(remaining), bound) == oracle_peels_empty(
+    assert (not _core(g.neighbor_masks(), mask_of(remaining), bound)) == oracle_peels_empty(
         g.neighbor_sets(), remaining, bound
     )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graphs(12), st.data())
+def test_core_members_each_exceed_their_bound_inside_it(g, data):
+    bound = data.draw(st.lists(st.integers(-1, 4), min_size=g.n, max_size=g.n))
+    keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    remaining = mask_of(v for v in range(g.n) if keep[v])
+    masks = g.neighbor_masks()
+    core = _core(masks, remaining, bound)
+    assert core & ~remaining == 0
+    assert all((masks[u] & core).bit_count() > bound[u] for u in members(core))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graphs(12), st.data())
+def test_core_stops_at_the_vertex_joining_a_pick_that_peels(g, data):
+    """Given a pick P that peels empty and v outside it, the early exit at v decides
+    exactly what the oracle's peel of P with v does, and a core it returns holds v."""
+    bound = data.draw(st.lists(st.integers(-1, 4), min_size=g.n, max_size=g.n))
+    keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    masks = g.neighbor_masks()
+    drawn = mask_of(v for v in range(g.n) if keep[v])
+    pick = drawn & ~_core(masks, drawn, bound)  # what the peel deletes peels empty on its own
+    assert oracle_peels_empty(g.neighbor_sets(), members(pick), bound)
+    outside = [u for u in range(g.n) if not pick >> u & 1]
+    if not outside:
+        return
+    v = data.draw(st.sampled_from(outside))
+    core = _core(masks, pick | 1 << v, bound, v)
+    assert (core == 0) == oracle_peels_empty(g.neighbor_sets(), members(pick) | {v}, bound)
+    if core:
+        assert core >> v & 1
+        assert core == _core(masks, pick | 1 << v, bound)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)

@@ -244,6 +244,26 @@ def test_bound_prunes_pinned(case):
     assert stats.bound_prunes == BOUND_PRUNES[case]
 
 
+# Full peels dual runs to test whether a vertex joins the pick, for the dual
+# cases of EXPECTED: the nodes whose vertex neither peels first nor is settled
+# by its joined or stuck memo.
+DUAL_PEELS = {
+    ("dual", 10, 1, 0): 3,
+    ("dual", 10, 1, 1): 7,
+    ("dual", 10, 1, 2): 11,
+    ("dual", 12, 2, 0): 4,
+    ("dual", 12, 2, 1): 10,
+}
+
+
+@pytest.mark.parametrize("case", list(DUAL_PEELS), ids=lambda c: "-".join(map(str, c)))
+def test_dual_peels_pinned(case):
+    _, n, d, seed = case
+    stats = Stats()
+    solve_dual_perfect(gen_random("gnp", n, "dual", seed, p=0.4, thr_param=d), stats)
+    assert stats.dual_peels == DUAL_PEELS[case]
+
+
 # The MPVC enumerator's emission order on two draws at t = max degree + 1:
 # (model, n, seed, flag, value) -> (covers, sum of i * cover mask over the
 # emission index i mod 10^9 + 7, branch_nodes, leaf_nodes, leaf_subsets).
