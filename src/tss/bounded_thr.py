@@ -19,7 +19,8 @@ hidden selection.
 Stage 3, stage3_dp(inst, selected, free, ctx, projected, k, l), closes each
 fully-decided branch with a dynamic program over the free vertices the record
 leaves undecided, minimizing the selection size subject to the activation
-target and the record's quotas.
+target and the record's quotas. One solve builds its table once per branch
+shape and answers every quota vector from it.
 
 Every vertex set from the root to stage 3 is an int mask, the format of the
 activation kernels, and the MPVC covers arrive as such masks too; the
@@ -30,6 +31,7 @@ only set is the return value of solve_bounded.
 from __future__ import annotations
 
 from math import comb, log2
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .activation import (
@@ -187,70 +189,70 @@ def is_activated_round(
 
 
 def stage3_dp(inst: Instance, selected: int, free: int, ctx: _Ctx, projected: int,
-              k: int, l: int, stats: Optional[Stats] = None) -> Optional[int]:
+              k: int, l: int, stats: Optional[Stats] = None,
+              tables: Optional[dict] = None) -> Optional[int]:
     """Smallest completion of a fully-decided stage-2 branch meeting the activation target.
 
-    selected and free are the stage-1 node's masks, and projected is the
-    fixpoint of the branch's projected rounds. Returns the mask of extra picks
-    among the free vertices ctx leaves undecided, or None when no completion
-    satisfies the target, the promised quotas, and the budget k. The known part
-    of the selection is selected | ctx.inside; the caller composes the full
-    target set.
+    selected and free are the stage-1 node's masks, and projected is the fixpoint
+    of the branch's projected rounds. Returns the mask of extra picks among the
+    free vertices ctx leaves undecided, or None when none meets the target, the
+    quotas and the budget k beside selected | ctx.inside. It is one look-up in
+    the _stage3_table of the branch's shape, which tables keeps for one solve.
     """
+    if (known := (selected | ctx.inside).bit_count()) > k:
+        return None
+    constrained = tuple(sorted(ctx.quota))
+    shape = (free, ctx.inside, ctx.outside, projected, constrained)
+    tables = {} if tables is None else tables
+    if (table := tables.get(shape)) is None:
+        table = tables[shape] = _stage3_table(inst, free, ctx, projected, constrained, l, stats)
+    caps = tuple(ctx.quota[v] for v in constrained)
+    if stats is not None:  # the end states within the caps: those a capped pass reaches
+        for d in (d for d in table if all(map(int.__le__, d, caps))):
+            for v, dj, cj in zip(constrained, d, caps):
+                stats.pair_variants.setdefault(v, set()).add((dj, cj))
+    picks = table.get(caps)
+    return None if picks is None or known + picks.bit_count() > k else picks
+
+
+def _stage3_table(inst: Instance, free: int, ctx: _Ctx, projected: int, constrained: tuple,
+                  l: int, stats: Optional[Stats]) -> dict[tuple, Optional[int]]:
+    """Per end quota vector d, the best picks reaching the target there, or None.
+
+    One forward pass over the undecided free vertices keeps the best path into
+    each state (p, d): p counts activated vertices up to what the target needs,
+    d the picked or inside neighbours of each constrained vertex up to its
+    threshold. d only grows, so a path keeps within some quotas exactly when it
+    ends at them. A path's key, its pick count over its picks in reverse vertex
+    order, is smaller for the better path (fewer picks, then skipping the lowest
+    vertex where two differ), also after any common suffix.
+    """
+    masks, tops = inst.graph.neighbor_masks(), tuple(inst.thr[v] for v in constrained)
     undecided = free & ~(ctx.inside | ctx.outside)
     rest = bits_of(undecided)
-    constrained = sorted(ctx.quota)
-    caps = tuple(ctx.quota[v] for v in constrained)
-    masks = inst.graph.neighbor_masks()
-    d_start = tuple(
-        min((masks[v] & ctx.inside).bit_count(), inst.thr[v]) for v in constrained
-    )
-    outside_score = (projected & ~undecided).bit_count()
-
-    def fits(d: tuple[int, ...]) -> bool:
-        return all(dj <= cj for dj, cj in zip(d, caps))
-
-    def count(layer) -> None:
-        if stats is not None:
-            stats.dp_states += len(layer)
-            for _, d in layer:
-                for v, dj, cj in zip(constrained, d, caps):
-                    stats.pair_variants.setdefault(v, set()).add((dj, cj))
-
-    # forward: the reachable (p, d) states of each index within the caps, each
-    # layer a dict from state to its position, and per position the positions of
-    # its take and skip successors in the next layer (take is -1 where it breaks a quota)
-    layer = {(0, d_start): 0} if fits(d_start) else {}
-    steps: list[tuple[list[int], list[int]]] = []
-    for u in rest:
-        count(layer)
-        hits = [(masks[v] >> u) & 1 for v in constrained]
-        in_proj = (projected >> u) & 1
+    r, need = len(rest), max(0, l - (projected & ~undecided).bit_count())
+    over = (r + 1) << r  # above every key
+    d0 = tuple(min((masks[v] & ctx.inside).bit_count(), t) for v, t in zip(constrained, tops))
+    layer, states = {(0, d0): 0}, 1
+    for i, u in enumerate(rest):
+        hits = tuple((masks[v] >> u) & 1 for v in constrained)
+        step, skip_p = (1 << r) + (1 << (r - 1 - i)), (projected >> u) & 1
         nxt: dict = {}
-        take_of, skip_of = [], []
-        for p, d in layer:
-            d_take = tuple(min(inst.thr[v], dj + h) for v, dj, h in zip(constrained, d, hits))
-            take_of.append(nxt.setdefault((min(p + 1, l), d_take), len(nxt)) if fits(d_take) else -1)
-            skip_of.append(nxt.setdefault((min(p + in_proj, l), d), len(nxt)))
-        steps.append((take_of, skip_of))
+        for (p, d), key in layer.items():
+            d_take = tuple(map(min, map(add, d, hits), tops)) if any(hits) else d
+            for state, cand in (((min(p + skip_p, need), d), key),
+                                ((min(p + 1, need), d_take), key + step)):
+                if cand < nxt.get(state, over):
+                    nxt[state] = cand
         layer = nxt
-    count(layer)
-    # backward: the fewest picks completing each state, skipping a vertex on ties
-    best = [0 if d == caps and p + outside_score >= l else None for p, d in layer]
-    for u, (take_of, skip_of) in zip(reversed(rest), reversed(steps)):
-        prev = []
-        for t, s in zip(take_of, skip_of):
-            take = None if t < 0 or best[t] is None else best[t] | 1 << u
-            skip = best[s]
-            if take is None or (skip is not None and skip.bit_count() <= take.bit_count()):
-                prev.append(skip)
-            else:
-                prev.append(take)
-        best = prev
-    picks = best[0] if best else None
-    if picks is None or (selected | ctx.inside).bit_count() + picks.bit_count() > k:
-        return None
-    return picks
+        states += len(layer)
+    if stats is not None:
+        stats.dp_states += states
+    best = dict.fromkeys((d for _, d in layer), over)
+    for (p, d), key in layer.items():
+        best[d] = min(best[d], key if p == need else over)
+    return {d: None if key == over else mask_of(u for i, u in enumerate(rest[::-1]) if key >> i & 1)
+            for d, key in best.items()}
 
 
 def solve_bounded(
@@ -280,6 +282,7 @@ def solve_bounded(
         gamma = compute_constants(max(t, 1))[1]
     n, m, thr, masks = inst.n, inst.graph.m, inst.thr, inst.graph.neighbor_masks()
     table = fit_table(thr)
+    stage3_tables: dict = {}  # by leaf shape, for this solve only
 
     def prune(selected: int, free: int, act: int) -> bool:
         if selected.bit_count() > k:
@@ -343,7 +346,7 @@ def solve_bounded(
             else:  # a fixpoint reached with every needed fact decided
                 if stats is not None:
                     stats.stage2_leaves += 1
-                picks = stage3_dp(inst, selected, free, ctx, projected, k, l, stats)
+                picks = stage3_dp(inst, selected, free, ctx, projected, k, l, stats, stage3_tables)
                 if picks is not None:
                     return selected | ctx.inside | picks
                 continue

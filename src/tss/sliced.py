@@ -15,9 +15,11 @@ def solve_sliced(inst: Instance, k: int, l: int,
                  stats: Optional[Stats] = None) -> Optional[frozenset[int]]:
     """Smallest (size, then lexicographic) X with |X| <= k activating >= l vertices, or None.
 
-    first_reaching runs from the counting bound's level. At l = n each vertex
-    with thr(v) > deg(v) is forced; a minimum X holds no other vertex of the
-    forced set's closure, so the search leaves them out.
+    first_reaching runs from the counting bound's level, or from the residual
+    bound's: a seed below every item's residual threshold thr(v) - |N(v) & base|
+    activates nothing beyond itself. At l = n each vertex with thr(v) > deg(v)
+    is forced; a minimum X holds no other vertex of the forced set's closure, so
+    the search leaves them out.
     """
     if k < 0 or l < 0:
         raise ValueError("budget and target must be non-negative")
@@ -27,9 +29,13 @@ def solve_sliced(inst: Instance, k: int, l: int,
     if l > n or size > k:
         return None
     base = closure_mask(masks, thr, forced)
+    items = bits_of(~base & ((1 << n) - 1))
     lower = counting_bound(masks, fit_table(thr), inst.graph.m, forced, l)
-    seed, tested = first_reaching(masks, thr, bits_of(~base & ((1 << n) - 1)), k - size, l,
-                                  base, lower - size)
+    if (reached := base.bit_count()) < l:
+        # the first item to activate unseeded needs its residual threshold from the seed
+        residual = min(thr[v] - (masks[v] & base).bit_count() for v in items)
+        lower = max(lower, size + min(residual, l - reached))
+    seed, tested = first_reaching(masks, thr, items, k - size, l, base, lower - size)
     if stats is not None:
         stats.leaf_seeds += tested
     return None if seed is None else members(forced | (seed & ~base))

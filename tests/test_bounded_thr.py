@@ -303,6 +303,51 @@ def test_dp_infeasible_promise():
     assert stage3_dp(inst, 0b100, 0b010, _Ctx(0, {0: 2}), 0b100, 3, 0) is None
 
 
+def _stage3_reference(inst, selected, free, ctx, projected, k, l):
+    # the first subset of the undecided vertices, fewest first and then skipping the
+    # lowest vertex where two differ, that meets every quota exactly, fits the
+    # budget and reaches l: the projected vertices and the picks count as activated
+    rest = sorted(members(free & ~ctx.inside & ~ctx.outside))
+    inside, nbr = members(ctx.inside), inst.graph.neighbor_sets()
+    subsets = [{u for i, u in enumerate(rest) if bits >> i & 1} for bits in range(1 << len(rest))]
+    for picks in sorted(subsets, key=lambda s: (len(s), [u in s for u in rest])):
+        if (all(min(len(nbr[v] & (inside | picks)), inst.thr[v]) == q for v, q in ctx.quota.items())
+                and len(members(projected) | picks) >= l
+                and (selected | ctx.inside).bit_count() + len(picks) <= k):
+            return mask_of(picks)
+    return None
+
+
+def test_stage3_dp_matches_a_brute_force_over_the_undecided_vertices(monkeypatch):
+    # every leaf of gamma-0 solves, walked in full by answering None, is answered
+    # through the solve's shared tables and through a fresh dict, and both must be
+    # the brute force's picks
+    original = bounded_thr.stage3_dp
+    checked = found = 0
+
+    def compare(inst, selected, free, ctx, projected, k, l, stats, tables):
+        nonlocal checked, found
+        assert isinstance(tables, dict)
+        want = _stage3_reference(inst, selected, free, ctx, projected, k, l)
+        assert original(inst, selected, free, ctx, projected, k, l, stats, tables) == want
+        assert original(inst, selected, free, ctx, projected, k, l, None, {}) == want
+        checked += 1
+        found += want is not None
+
+    monkeypatch.setattr(bounded_thr, "stage3_dp", compare)
+    rng = random.Random(2718)
+    for _ in range(60):
+        n, t = rng.randint(5, 7), rng.randint(1, 3)
+        inst = gen_random("gnp", n, "const", rng.randrange(1000), p=rng.choice([0.35, 0.5]),
+                          thr_param=t)
+        solve_bounded(inst, rng.randint(1, n), rng.randint(n - 2, n), t, gamma=0.0, stats=Stats())
+    assert checked > 800 and found > 100
+    # two leaves that differ only in the vertices decided outside get a table each
+    inst, tables = Instance(Graph(2, []), (1, 1)), {}
+    assert original(inst, 0, 0b11, _Ctx(0), 0, 2, 1, None, tables) == 0b10
+    assert original(inst, 0, 0b11, _Ctx(0, outside=0b10), 0, 2, 1, None, tables) == 0b01
+
+
 def test_projected_set_describes_activation_outside_hidden_selection(monkeypatch):
     # for every explored leaf and every selection consistent with its record,
     # the projected set and the true activated set agree off the selection;

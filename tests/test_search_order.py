@@ -121,34 +121,34 @@ EXPECTED: dict[tuple, object] = {
     ("bounded", "gnp", 12, 0.35, 3, 4, 12): ([2, 4, 5, 8], (0, 1, 5, 1, 23, 0, 0, 0, 0, 0, 2, 0)),
     ("bounded", "gnp", 12, 0.35, 3, 3, 12): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("bounded", "gnp", 12, 0.35, 3, 2, 8): (None, (0, 1, 5, 5, 77, 0, 0, 0, 0, 0, 6, 0)),
-    ("gamma0", "gnp", 7, 0.45, 0, 4, 7): ([0, 1, 2, 5], (0, 1, 5, 0, 0, 5, 72, 0, 28, 322, 3, 0)),
+    ("gamma0", "gnp", 7, 0.45, 0, 4, 7): ([0, 1, 2, 5], (0, 1, 5, 0, 0, 5, 72, 0, 28, 137, 3, 0)),
     ("gamma0", "gnp", 7, 0.45, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("gamma0", "gnp", 7, 0.45, 1, 2, 7): ([4, 6], (1, 2, 10, 1, 1, 4, 111, 0, 16, 36, 7, 0)),
+    ("gamma0", "gnp", 7, 0.45, 1, 2, 7): ([4, 6], (1, 2, 10, 1, 1, 4, 111, 0, 16, 15, 7, 0)),
     ("gamma0", "gnp", 7, 0.45, 1, 1, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("gamma0", "gnp", 7, 0.45, 2, 3, 7): ([1, 3, 5], (0, 1, 5, 0, 0, 1, 27, 0, 17, 249, 2, 0)),
+    ("gamma0", "gnp", 7, 0.45, 2, 3, 7): ([1, 3, 5], (0, 1, 5, 0, 0, 1, 27, 0, 17, 186, 2, 0)),
     ("gamma0", "gnp", 7, 0.45, 2, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     # Shaped like the decision benchmark's gamma0 families: (kind, n, degree,
     # threshold, seed, k, l) on regular draws, with k = opt and opt - 1.
-    ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 0, 2, 108, 0, 32, 66, 4, 0)),
-    ("gamma0-reg", 7, 4, 2, 0, 1, 7): (None, (17, 5, 25, 0, 0, 7, 285, 0, 80, 167, 26, 0)),
-    ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 0, 2, 84, 0, 24, 50, 4, 0)),
-    ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 0, 7, 270, 0, 80, 167, 26, 0)),
-    ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 0, 6, 412, 2, 177, 904, 3, 0)),
+    ("gamma0-reg", 7, 4, 2, 0, 2, 7): ([2, 6], (0, 2, 10, 0, 0, 2, 108, 0, 32, 9, 4, 0)),
+    ("gamma0-reg", 7, 4, 2, 0, 1, 7): (None, (17, 5, 25, 0, 0, 7, 285, 0, 80, 39, 26, 0)),
+    ("gamma0-reg", 7, 4, 2, 1, 2, 7): ([3, 6], (0, 2, 10, 0, 0, 2, 84, 0, 24, 9, 4, 0)),
+    ("gamma0-reg", 7, 4, 2, 1, 1, 7): (None, (17, 5, 25, 0, 0, 7, 270, 0, 80, 39, 26, 0)),
+    ("gamma0-reg", 7, 4, 3, 0, 3, 7): ([0, 2, 6], (0, 1, 12, 0, 0, 6, 412, 2, 177, 168, 3, 0)),
     ("gamma0-reg", 7, 4, 3, 0, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-    ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 0, 9, 352, 0, 112, 595, 3, 0)),
+    ("gamma0-reg", 7, 4, 3, 1, 3, 7): ([0, 4, 6], (0, 1, 12, 0, 0, 9, 352, 0, 112, 163, 3, 0)),
     ("gamma0-reg", 7, 4, 3, 1, 2, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0-reg", 7, 2, 2, 0, 4, 7):
-        ([0, 3, 4, 6], (0, 3, 15, 0, 0, 10, 183, 0, 32, 74, 13, 0)),
+        ([0, 3, 4, 6], (0, 3, 15, 0, 0, 10, 183, 0, 32, 54, 13, 0)),
     ("gamma0-reg", 7, 2, 2, 0, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     ("gamma0-reg", 7, 2, 2, 1, 4, 7):
-        ([0, 2, 3, 4], (0, 3, 15, 0, 0, 10, 207, 0, 32, 74, 13, 0)),
+        ([0, 2, 3, 4], (0, 3, 15, 0, 0, 10, 207, 0, 32, 54, 13, 0)),
     ("gamma0-reg", 7, 2, 2, 1, 3, 7): (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     # Stage 2's member branches: a YES and a NO query on one gnp draw, and a
     # t = 3 NO query where the counting bound is slack and stage 2 runs dry.
-    ("gamma0", "gnp", 9, 0.35, 7, 2, 9): ([5, 8], (0, 2, 10, 0, 0, 1, 117, 24, 92, 345, 3, 0)),
+    ("gamma0", "gnp", 9, 0.35, 7, 2, 9): ([5, 8], (0, 2, 10, 0, 0, 1, 117, 24, 92, 116, 3, 0)),
     ("gamma0", "gnp", 9, 0.35, 7, 1, 9):
-        (None, (42, 5, 25, 0, 0, 21, 1566, 146, 958, 4674, 26, 0)),
-    ("gamma0-reg", 7, 4, 3, 0, 2, 6): (None, (3, 1, 12, 0, 0, 55, 1236, 20, 575, 2938, 13, 0)),
+        (None, (42, 5, 25, 0, 0, 21, 1566, 146, 958, 363, 26, 0)),
+    ("gamma0-reg", 7, 4, 3, 0, 2, 6): (None, (3, 1, 12, 0, 0, 55, 1236, 20, 575, 919, 13, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 0): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "gnp", 14, "const", 0.6, 1): ([0, 1], (0, 0, 0, 0, 0, 0, 0, 0, 6, 1, 0, 17, 0)),
     ("thr2", "regular", 10, "const", 2, 0):

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from tss import Graph, Instance, oracle_tss_decision, solve_sliced
+from tss import Graph, Instance, closure, oracle_tss_decision, solve_sliced
 from tss.stats import Stats
 
 from helpers import graphs, path_instance
@@ -13,13 +13,18 @@ from helpers import graphs, path_instance
 @given(graphs(9), st.data())
 def test_sliced_matches_oracle(g, data):
     # thresholds up to 4 on at most 9 vertices, so thr > deg is common: such
-    # vertices are forced at (n, n) and may stay inactive below it
+    # vertices are forced at (n, n) and may stay inactive below it. The residual
+    # bound's edge cases ride along: a target the unseeded closure already
+    # reaches, and thresholds cut to 1, which leave every residual threshold 1
     thr = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))
     inst = Instance(g, tuple(thr))
+    ones = Instance(g, tuple(min(x, 1) for x in thr))
     k = data.draw(st.integers(0, g.n))
     l = data.draw(st.integers(0, g.n + 1))
-    for query in ((g.n, g.n), (k, l)):
-        assert solve_sliced(inst, *query) == oracle_tss_decision(inst, *query), query
+    reached = len(closure(inst, ()))
+    for case, query in ((inst, (g.n, g.n)), (inst, (k, l)), (inst, (k, reached)),
+                        (ones, (g.n, g.n)), (ones, (k, l))):
+        assert solve_sliced(case, *query) == oracle_tss_decision(case, *query), query
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
