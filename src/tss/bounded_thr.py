@@ -72,6 +72,7 @@ def br1_split(
     than thr members, in (size, lexicographic) order, then the thr neighbors,
     which activate the excluded pivot.
     """
+    stats = Stats() if stats is None else stats
     pivot = -1
     pivot_deg = -1
     for v in bits_of(free):
@@ -83,15 +84,14 @@ def br1_split(
     group_t = mask_of(bits_of(masks[pivot] & free)[: thr[pivot]])
     group = group_t | 1 << pivot
     children = [*seed_masks(bits_of(group), thr[pivot] - 1), group_t]
-    if stats is not None:
-        stats.br1_apps += 1
-        stats.br1_children.append((thr[pivot], len(children)))
+    stats.br1_apps += 1
+    stats.br1_children += len(children)
     return group, children
 
 
 def branch_and_reduce(
     masks: Sequence[int], thr: Sequence[int], rules: Sequence[Callable[[int], Split]],
-    prune: Callable[..., object], leaf: Callable[..., object], stats: Optional[Stats],
+    prune: Callable[..., object], leaf: Callable[..., object], stats: Stats,
     forced: Optional[Callable[[int], int]] = None,
 ) -> object:
     """Branch and reduce over selected / excluded / free, from everything free.
@@ -110,8 +110,7 @@ def branch_and_reduce(
         selected, free, act = stack.pop()
         while True:
             act = closure_mask(masks, thr, act | selected)
-            if stats is not None:
-                stats.rr1_moves += (free & act).bit_count()
+            stats.rr1_moves += (free & act).bit_count()
             free &= ~act
             if forced is None or not (low := forced(free)):
                 break
@@ -199,6 +198,7 @@ def stage3_dp(inst: Instance, selected: int, free: int, ctx: _Ctx, projected: in
     quotas and the budget k beside selected | ctx.inside. It is one look-up in
     the _stage3_table of the branch's shape, which tables keeps for one solve.
     """
+    stats = Stats() if stats is None else stats
     if (known := (selected | ctx.inside).bit_count()) > k:
         return None
     constrained = tuple(sorted(ctx.quota))
@@ -206,17 +206,12 @@ def stage3_dp(inst: Instance, selected: int, free: int, ctx: _Ctx, projected: in
     tables = {} if tables is None else tables
     if (table := tables.get(shape)) is None:
         table = tables[shape] = _stage3_table(inst, free, ctx, projected, constrained, l, stats)
-    caps = tuple(ctx.quota[v] for v in constrained)
-    if stats is not None:  # the end states within the caps: those a capped pass reaches
-        for d in (d for d in table if all(map(int.__le__, d, caps))):
-            for v, dj, cj in zip(constrained, d, caps):
-                stats.pair_variants.setdefault(v, set()).add((dj, cj))
-    picks = table.get(caps)
+    picks = table.get(tuple(ctx.quota[v] for v in constrained))
     return None if picks is None or known + picks.bit_count() > k else picks
 
 
 def _stage3_table(inst: Instance, free: int, ctx: _Ctx, projected: int, constrained: tuple,
-                  l: int, stats: Optional[Stats]) -> dict[tuple, Optional[int]]:
+                  l: int, stats: Stats) -> dict[tuple, Optional[int]]:
     """Per end quota vector d, the best picks reaching the target there, or None.
 
     One forward pass over the undecided free vertices keeps the best path into
@@ -246,8 +241,7 @@ def _stage3_table(inst: Instance, free: int, ctx: _Ctx, projected: int, constrai
                     nxt[state] = cand
         layer = nxt
         states += len(layer)
-    if stats is not None:
-        stats.dp_states += states
+    stats.dp_states += states
     best = dict.fromkeys((d for _, d in layer), over)
     for (p, d), key in layer.items():
         best[d] = min(best[d], key if p == need else over)
@@ -273,6 +267,7 @@ def solve_bounded(
     the free part is branching-stable. The first feasible set in deterministic
     exploration order is returned.
     """
+    stats = Stats() if stats is None else stats
     if k < 0 or l < 0:
         raise ValueError("budget and target must be non-negative")
     bad = [v for v in range(inst.n) if inst.thr[v] > t]
@@ -288,37 +283,32 @@ def solve_bounded(
         if selected.bit_count() > k:
             return True
         if l > n or counting_bound(masks, table, m, selected, l) > k:
-            if stats is not None:
-                stats.bound_prunes += 1
+            stats.bound_prunes += 1
             return True
         return False
 
     def leaf(selected: int, free: int, act: int) -> Optional[int]:
         size = selected.bit_count()
         if free.bit_count() <= gamma * n:
-            if stats is not None:
-                stats.br2_leaves += 1
+            stats.br2_leaves += 1
             seed, tested = first_reaching(masks, thr, bits_of(free), k - size, l, act,
                                           counting_bound(masks, table, m, selected, l) - size)
-            if stats is not None:
-                stats.leaf_seeds += tested
+            stats.leaf_seeds += tested
             return None if seed is None else selected | (seed & ~act)
         sub_g, old_ids = inst.graph.induced(bits_of(free))
         # a fresh Stats per enumeration: a wrapper counting the object it is given sees it once
-        enum_stats = None if stats is None else Stats()
+        enum_stats = Stats()
         try:
             for local_cover in enum_minimal_pvcs(sub_g, max(t, 1), enum_stats):
                 cover = mask_of(old_ids[i] for i in bits_of(local_cover))
-                if stats is not None:
-                    stats.stage2_covers += 1
+                stats.stage2_covers += 1
                 res = _explore(selected, free, cover)
                 if res is not None:
                     return res
             return None
         finally:
-            if enum_stats is not None:
-                for key in ("branch_nodes", "leaf_nodes", "leaf_subsets", "emitted"):
-                    setattr(stats, key, getattr(stats, key) + getattr(enum_stats, key))
+            for key in ("branch_nodes", "leaf_nodes", "leaf_subsets", "emitted"):
+                setattr(stats, key, getattr(stats, key) + getattr(enum_stats, key))
 
     def _explore(selected: int, free: int, cover: int) -> Optional[int]:
         """Replay the projected rounds of one cover's branches, closing each with
@@ -344,21 +334,18 @@ def solve_bounded(
                     newly |= 1 << outside[j]
                 j += 1
             else:  # a fixpoint reached with every needed fact decided
-                if stats is not None:
-                    stats.stage2_leaves += 1
+                stats.stage2_leaves += 1
                 picks = stage3_dp(inst, selected, free, ctx, projected, k, l, stats, stage3_tables)
                 if picks is not None:
                     return selected | ctx.inside | picks
                 continue
             kind, u = got
             if kind == "quota":
-                if stats is not None:
-                    stats.quota_branches.append((thr[u], thr[u] + 1))
+                stats.quota_branches += thr[u] + 1
                 children = [_Ctx(ctx.cover, {**ctx.quota, u: c}, ctx.inside, ctx.outside)
                             for c in ctx.feasible_quotas(masks[u], thr[u], free)]
             else:
-                if stats is not None:
-                    stats.member_branches += 1
+                stats.member_branches += 1
                 children = [_Ctx(ctx.cover, ctx.quota, ctx.inside, ctx.outside | 1 << u),
                             _Ctx(ctx.cover, ctx.quota, ctx.inside | 1 << u, ctx.outside)]
             stack.extend((child, projected, outside, j, newly) for child in reversed(children))

@@ -201,7 +201,7 @@ def _parse_ids(text: str, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _answer(inst: Instance, algo: str, k: int, l: int, stats: Optional[Stats],
+def _answer(inst: Instance, algo: str, k: int, l: int, stats: Stats,
             gamma: Optional[float] = None) -> tuple[Optional[frozenset[int]], Optional[int], float]:
     """Ask the solver named algo for at most k vertices activating at least l.
 
@@ -235,8 +235,8 @@ def _answer(inst: Instance, algo: str, k: int, l: int, stats: Optional[Stats],
 
 
 def _emit(args, algo: str, witness: Optional[frozenset[int]], activated: Optional[int],
-          ms: float, stats: Optional[Stats]) -> int:
-    """Print one answer as text or JSON; the exit code is 0 for YES and 1 for NO."""
+          ms: float, stats: Stats) -> int:
+    """Print one answer, and its stats with --stats; the exit code is 0 for YES and 1 for NO."""
     ids = None if witness is None else sorted(v + 1 for v in witness)
     if args.as_json:
         print(json.dumps({
@@ -246,11 +246,11 @@ def _emit(args, algo: str, witness: Optional[frozenset[int]], activated: Optiona
             "activated": activated,
             "algorithm": algo,
             "elapsed_ms": round(ms, 3),
-            "stats": {} if stats is None else stats.as_dict(),
+            "stats": stats.as_dict() if args.stats else {},
         }))
     else:
         print("NO" if ids is None else f"YES size={len(ids)} set={','.join(map(str, ids))}")
-        if stats is not None:
+        if args.stats:
             _print_stats(stats)
     return 1 if witness is None else 0
 
@@ -266,14 +266,14 @@ def _cmd_solve(args) -> int:
         raise ValueError("--gamma applies only to --algo bounded")
     inst = _load(args.file, args.force)
     k, l = _query_of(inst, args.k, args.l)
-    stats = Stats() if args.stats else None
+    stats = Stats()
     return _emit(args, algo, *_answer(inst, algo, k, l, stats, args.gamma), stats)
 
 
 def _cmd_perfect(args) -> int:
     algo = "sliced" if args.algo == "auto" else args.algo
     inst = _load(args.file, args.force)
-    stats = Stats() if args.stats else None
+    stats = Stats()
     return _emit(args, algo, *_answer(inst, algo, inst.n, inst.n, stats), stats)
 
 
@@ -291,7 +291,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_enum_mpvc(args) -> int:
     inst = _load(args.file, args.force)
-    stats = Stats()  # always counted: the soft leaf bound below reads leaf_nodes
+    stats = Stats()
     # the degree check raises at the first cover, before anything is printed
     covers = enum_minimal_pvcs(inst.graph, args.t, stats)
     if args.count_only:

@@ -44,6 +44,7 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
     The paper bounds the running time by d = max(deg(v) - thr(v)); the search
     never reads d, so it takes none.
     """
+    stats = Stats() if stats is None else stats
     duals = inst.dual_values()
     masks = inst.graph.neighbor_masks()
     thr = inst.thr
@@ -60,13 +61,11 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
     stack = [(0, 0, 0, out, edges_within(masks, out))]
     while stack:
         i, pick, pick_thr, out, e_out = stack.pop()
-        if stats is not None:
-            stats.dual_nodes += 1
+        stats.dual_nodes += 1
         # the undecided candidates, candidates[i:], are the vertices neither picked nor out
         grow = fitting(table, ~(pick | out), m - pick_thr - e_out)
         if pick.bit_count() + grow <= best.bit_count():
-            if stats is not None:
-                stats.bound_prunes += 1
+            stats.bound_prunes += 1
             continue
         if i == len(candidates):
             best = pick
@@ -77,8 +76,7 @@ def solve_dual_perfect(inst: Instance, stats: Optional[Stats] = None) -> frozens
         if (masks[v] & pick).bit_count() > duals[v] and pick & ~joined[v]:
             if not stuck[v] & ~pick:
                 continue
-            if stats is not None:
-                stats.dual_peels += 1
+            stats.dual_peels += 1
             core = _core(masks, pick | 1 << v, duals, v)
             if core:
                 stuck[v] = core ^ 1 << v

@@ -51,6 +51,7 @@ def enum_minimal_pvcs(g: Graph, t: int, stats: Optional[Stats] = None) -> Iterat
     The branches wait on an explicit stack of (free, inside) masks, so the
     depth of the search is not bounded by the recursion limit.
     """
+    stats = Stats() if stats is None else stats
     if g.max_degree() >= t:
         raise ValueError(f"max degree {g.max_degree()} not below bound {t}")
     seen: Optional[set[int]] = set() if __debug__ and g.n <= 12 else None
@@ -64,8 +65,7 @@ def enum_minimal_pvcs(g: Graph, t: int, stats: Optional[Stats] = None) -> Iterat
             low = scan & -scan
             closed = closed_nbhds[low.bit_length() - 1]
             if not closed & ~free:
-                if stats is not None:
-                    stats.branch_nodes += 1
+                stats.branch_nodes += 1
                 rest = free & ~closed
                 # pushed from the largest proper submask down, the children pop
                 # in increasing mask order
@@ -76,9 +76,8 @@ def enum_minimal_pvcs(g: Graph, t: int, stats: Optional[Stats] = None) -> Iterat
                 break
             scan ^= low
         else:  # a leaf: sweep the submasks of free in increasing order
-            if stats is not None:
-                stats.leaf_nodes += 1
-                stats.leaf_subsets += 1 << free.bit_count()
+            stats.leaf_nodes += 1
+            stats.leaf_subsets += 1 << free.bit_count()
             span = inside | free
             risky = [c for c in closed_nbhds if not c & ~span]  # the rest never fit in a cover
             sub = 0
@@ -91,8 +90,7 @@ def enum_minimal_pvcs(g: Graph, t: int, stats: Optional[Stats] = None) -> Iterat
                     if seen is not None:
                         assert cover not in seen, f"duplicate cover {bits_of(cover)}"
                         seen.add(cover)
-                    if stats is not None:
-                        stats.emitted += 1
+                    stats.emitted += 1
                     yield cover
                 sub = (sub - free) & free
                 if not sub:

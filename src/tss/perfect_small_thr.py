@@ -65,15 +65,15 @@ def gadget_bounded_to_equal(inst: Instance, t: int) -> Instance:
 
 def solve_perfect_thr2(inst: Instance, stats: Optional[Stats] = None) -> frozenset[int]:
     """Minimum perfect target set when every threshold is at most two."""
-    return _solve_small_thr(inst, 2, stats)
+    return _solve_small_thr(inst, 2, Stats() if stats is None else stats)
 
 
 def solve_perfect_thr3(inst: Instance, stats: Optional[Stats] = None) -> frozenset[int]:
     """Minimum perfect target set when every threshold is at most three."""
-    return _solve_small_thr(inst, 3, stats)
+    return _solve_small_thr(inst, 3, Stats() if stats is None else stats)
 
 
-def _solve_small_thr(inst: Instance, t: int, stats: Optional[Stats]) -> frozenset[int]:
+def _solve_small_thr(inst: Instance, t: int, stats: Stats) -> frozenset[int]:
     if inst.max_threshold() > t:
         raise ValueError(f"threshold above {t} present")
     if is_perfect_target_set(inst, ()):
@@ -83,8 +83,7 @@ def _solve_small_thr(inst: Instance, t: int, stats: Optional[Stats]) -> frozense
         part1_max = floor((1.0 - PART1_GAMMA_THR2) * eq.n)
     else:
         part1_max = floor((1.0 - (2.0 / 3.0) * PART1_GAMMA_THR3) * eq.n)
-    if stats is not None:
-        stats.part1_max_size = part1_max
+    stats.part1_max_size = part1_max
     best = members(_min_perfect_equal(eq, t, part1_max, stats))
     answer = frozenset(v for v in best if v < inst.n)
     assert len(answer) == len(best) - t * t
@@ -92,7 +91,7 @@ def _solve_small_thr(inst: Instance, t: int, stats: Optional[Stats]) -> frozense
     return answer
 
 
-def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Stats]) -> int:
+def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Stats) -> int:
     """Mask of a minimum perfect target set of an equalized (thr == t everywhere)
     gadget instance."""
     n = eq.n
@@ -112,8 +111,7 @@ def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Sta
     others = bits_of(full_mask & ~forced)
     for seed in seed_masks(others, part1_max - t * t, forced, lower(leaves) - t * t):
         if closure_mask(masks, thr, seed) == full_mask:
-            if stats is not None:
-                stats.part1_found = True
+            stats.part1_found = 1
             return leaves | (seed & ~forced)
 
     # Part 2: branch and reduce; the incumbent starts at the full vertex set.
@@ -125,23 +123,20 @@ def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Sta
 
     def rr3(free: int) -> int:
         low = free & low_degree
-        if stats is not None:
-            stats.rr3_moves += low.bit_count()
+        stats.rr3_moves += low.bit_count()
         return low
 
     def prune(selected: int, free: int, act: int) -> bool:
         if lower(selected) >= best.bit_count():
-            if stats is not None:
-                stats.bound_prunes += 1
+            stats.bound_prunes += 1
             return True
         return closure_mask(masks, thr, act | free) != full_mask
 
     def r4(free: int) -> Split:
         for u, v in eq.graph.edges():
             if (free >> u) & (free >> v) & 1 and deg[u] == deg[v] == t:
-                if stats is not None:
-                    stats.r4_apps += 1
-                    stats.r4_children.append(3)
+                stats.r4_apps += 1
+                stats.r4_children += 3
                 return 1 << u | 1 << v, [1 << v, 1 << u, 1 << u | 1 << v]
         return None
 
@@ -151,9 +146,8 @@ def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Sta
             if len(mates) >= 2:
                 trio = sorted((mates[0], v, mates[1]))
                 children = list(seed_masks(trio, 3))[1:]
-                if stats is not None:
-                    stats.r5_apps += 1
-                    stats.r5_children.append(len(children))
+                stats.r5_apps += 1
+                stats.r5_children += len(children)
                 return mask_of(trio), children
         return None
 
@@ -163,8 +157,7 @@ def _min_perfect_equal(eq: Instance, t: int, part1_max: int, stats: Optional[Sta
         if t == 2:
             # with no rule applicable the already-decided part activates everything
             assert closure_mask(masks, thr, act | (full_mask & ~free)) == full_mask
-        if stats is not None:
-            stats.leaf_bruteforces += 1
+        stats.leaf_bruteforces += 1
         size = selected.bit_count()
         for seed in seed_masks(bits_of(free), best.bit_count() - size - 1, act,
                                lower(selected) - size):

@@ -21,6 +21,7 @@ def solve_sliced(inst: Instance, k: int, l: int,
     is forced; a minimum X holds no other vertex of the forced set's closure, so
     the search leaves them out.
     """
+    stats = Stats() if stats is None else stats
     if k < 0 or l < 0:
         raise ValueError("budget and target must be non-negative")
     n, thr, masks = inst.n, inst.thr, inst.graph.neighbor_masks()
@@ -36,6 +37,5 @@ def solve_sliced(inst: Instance, k: int, l: int,
         residual = min(thr[v] - (masks[v] & base).bit_count() for v in items)
         lower = max(lower, size + min(residual, l - reached))
     seed, tested = first_reaching(masks, thr, items, k - size, l, base, lower - size)
-    if stats is not None:
-        stats.leaf_seeds += tested
+    stats.leaf_seeds += tested
     return None if seed is None else members(forced | (seed & ~base))

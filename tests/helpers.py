@@ -6,6 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
+import tss.bounded_thr as bounded_thr
 from tss import Graph, Instance
 
 
@@ -115,3 +116,57 @@ def graphs(draw, max_n: int) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+def record_br1_splits(monkeypatch, module) -> list[tuple[int, int]]:
+    """Wrap module.br1_split; each split it returns appends (thr(pivot), child count).
+    The pivot is the group member that the last child, its thr neighbours, leaves out."""
+    splits: list[tuple[int, int]] = []
+    original = module.br1_split
+
+    def wrapper(masks, thr, free, stats=None):
+        split = original(masks, thr, free, stats)
+        if split is not None:
+            group, children = split
+            splits.append((thr[(group & ~children[-1]).bit_length() - 1], len(children)))
+        return split
+
+    monkeypatch.setattr(module, "br1_split", wrapper)
+    return splits
+
+
+def record_quota_windows(monkeypatch) -> list[tuple[range, int]]:
+    """Wrap bounded_thr._Ctx.feasible_quotas; each call appends (window, thr(v))."""
+    windows: list[tuple[range, int]] = []
+    original = bounded_thr._Ctx.feasible_quotas
+
+    def wrapper(self, nbr_v, thr_v, free):
+        window = original(self, nbr_v, thr_v, free)
+        windows.append((window, thr_v))
+        return window
+
+    monkeypatch.setattr(bounded_thr._Ctx, "feasible_quotas", wrapper)
+    return windows
+
+
+def record_stage3_pairs(monkeypatch) -> dict[int, set[tuple[int, int]]]:
+    """Wrap bounded_thr.stage3_dp; per quota vertex v, collect the pairs (d_v, cap_v)
+    of each within-budget leaf: d ranges over its shape's table's end quota vectors
+    within the leaf's caps, the states a pass capped at them reaches."""
+    pairs: dict[int, set[tuple[int, int]]] = {}
+    original = bounded_thr.stage3_dp
+
+    def wrapper(inst, selected, free, ctx, projected, k, l, stats=None, tables=None):
+        tables = {} if tables is None else tables
+        picks = original(inst, selected, free, ctx, projected, k, l, stats, tables)
+        if (selected | ctx.inside).bit_count() <= k:
+            constrained = tuple(sorted(ctx.quota))
+            caps = tuple(ctx.quota[v] for v in constrained)
+            for d in tables[(free, ctx.inside, ctx.outside, projected, constrained)]:
+                if all(map(int.__le__, d, caps)):
+                    for v, dv, cap in zip(constrained, d, caps):
+                        pairs.setdefault(v, set()).add((dv, cap))
+        return picks
+
+    monkeypatch.setattr(bounded_thr, "stage3_dp", wrapper)
+    return pairs

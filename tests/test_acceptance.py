@@ -10,6 +10,7 @@ import random
 from itertools import combinations
 from math import comb, floor
 
+import tss.bounded_thr as bounded_mod
 import tss.perfect_small_thr as perfect_mod
 from tss import (
     Graph,
@@ -43,6 +44,9 @@ from helpers import (
     rand_connected_ratio_instance,
     rand_dual_instance,
     rand_gnp_instance,
+    record_br1_splits,
+    record_quota_windows,
+    record_stage3_pairs,
 )
 
 
@@ -278,26 +282,30 @@ def test_criterion_09_activation_semantics_and_membership_frequency():
     _report(9, "activation laws hold; ordering membership frequency within 0.05", failures)
 
 
-def test_criterion_10_instrumented_branching_counts():
+def test_criterion_10_instrumented_branching_counts(monkeypatch):
     failures = []
     rng = random.Random(111)
     br1_apps = quota_apps = 0
+    splits = record_br1_splits(monkeypatch, bounded_mod)
+    windows = record_quota_windows(monkeypatch)
+    pair_variants = record_stage3_pairs(monkeypatch)
     for _ in range(60):
         t = rng.randint(1, 3)
         inst = rand_gnp_instance(rng, rng.randint(4, 8), t, p=0.45)
         stats = Stats()
+        pair_variants.clear()
         solve_bounded(inst, inst.n // 2, inst.n, t, gamma=0.0, stats=stats)
         br1_apps += stats.br1_apps
-        quota_apps += len(stats.quota_branches)
-        for thr_v, children in stats.br1_children:
-            if children != 2 ** (thr_v + 1) - thr_v - 1:
-                failures.append(("br1", thr_v, children))
-        for thr_v, children in stats.quota_branches:
-            if children != thr_v + 1:
-                failures.append(("quota", thr_v, children))
-        for v, pairs in stats.pair_variants.items():
+        quota_apps += stats.quota_branches
+        for v, pairs in pair_variants.items():
             if len(pairs) > comb(t + 2, 2):
                 failures.append(("pairs", v))
+    for thr_v, children in splits:
+        if children != 2 ** (thr_v + 1) - thr_v - 1:
+            failures.append(("br1", thr_v, children))
+    for window, thr_v in windows:
+        if not 0 <= window.start < window.stop <= thr_v + 1:
+            failures.append(("quota", thr_v, window))
     r4_apps = r5_apps = 0
     seeds = [
         Instance(Graph(6, [(0, 5), (1, 3), (1, 4), (2, 3)]), (1, 2, 1, 1, 3, 1)),
@@ -311,10 +319,10 @@ def test_criterion_10_instrumented_branching_counts():
         solve_perfect_thr3(inst, stats)
         r4_apps += stats.r4_apps
         r5_apps += stats.r5_apps
-        if any(c != 3 for c in stats.r4_children):
-            failures.append(("r4", stats.r4_children))
-        if any(c != 7 for c in stats.r5_children):
-            failures.append(("r5", stats.r5_children))
+        if stats.r4_children != 3 * stats.r4_apps:
+            failures.append(("r4", stats.r4_apps, stats.r4_children))
+        if stats.r5_children != 7 * stats.r5_apps:
+            failures.append(("r5", stats.r5_apps, stats.r5_children))
     if br1_apps == 0 or quota_apps == 0 or r4_apps == 0 or r5_apps == 0:
         failures.append(("rules not engaged", br1_apps, quota_apps, r4_apps, r5_apps))
     _report(10, "branch child counts exact: split rule, pair rule (3), trio rule (7)", failures)

@@ -23,7 +23,10 @@ from tss.activation import mask_of, members
 from tss.bounded_thr import _Ctx, is_activated_round
 from tss.stats import Stats
 
-from helpers import complete_instance, rand_gnp_instance
+from helpers import (
+    complete_instance, rand_gnp_instance, record_br1_splits, record_quota_windows,
+    record_stage3_pairs,
+)
 
 
 def test_constants_t2():
@@ -161,18 +164,20 @@ def test_reduction_rule_metamorphic():
             assert len(closure(inst, got)) >= l
 
 
-def test_branch_rule_child_counts():
+def test_branch_rule_child_counts(monkeypatch):
     rng = random.Random(17)
-    seen_any = False
+    splits = record_br1_splits(monkeypatch, bounded_thr)
     for _ in range(40):
         inst = rand_gnp_instance(rng, rng.randint(4, 8), rng.randint(1, 3), p=0.5)
         stats = Stats()
+        before = len(splits)
         solve_bounded(inst, inst.n // 2, inst.n, max(1, inst.max_threshold()),
                       gamma=0.0, stats=stats)
-        for thr_v, children in stats.br1_children:
-            seen_any = True
-            assert children == 2 ** (thr_v + 1) - thr_v - 1
-    assert seen_any
+        assert stats.br1_apps == len(splits) - before
+        assert stats.br1_children == sum(children for _, children in splits[before:])
+    assert splits
+    for thr_v, children in splits:
+        assert children == 2 ** (thr_v + 1) - thr_v - 1
 
 
 def test_br1_split_children_in_size_then_lexicographic_order():
@@ -193,21 +198,25 @@ def test_br1_split_children_in_size_then_lexicographic_order():
     ]
 
 
-def test_quota_branch_child_counts_and_pair_bound():
+def test_quota_branch_child_counts_and_pair_bound(monkeypatch):
     rng = random.Random(18)
-    seen_quota = False
+    windows = record_quota_windows(monkeypatch)
+    pair_variants = record_stage3_pairs(monkeypatch)
     for _ in range(30):
         t = rng.randint(1, 3)
         inst = rand_gnp_instance(rng, rng.randint(5, 8), t, p=0.4)
         stats = Stats()
+        before = len(windows)
+        pair_variants.clear()
         solve_bounded(inst, inst.n // 2, inst.n, t, gamma=0.0, stats=stats)
-        for thr_v, children in stats.quota_branches:
-            seen_quota = True
-            assert children == thr_v + 1
-        for v, pairs in stats.pair_variants.items():
+        # quota_branches adds thr(v) + 1 per branch, the most choices a quota can have
+        assert stats.quota_branches == sum(thr_v + 1 for _, thr_v in windows[before:])
+        for v, pairs in pair_variants.items():
             assert all(d <= cap <= t for d, cap in pairs)
             assert len(pairs) <= math.comb(t + 2, 2)
-    assert seen_quota
+    assert windows
+    for window, thr_v in windows:
+        assert 0 <= window.start < window.stop <= thr_v + 1
 
 
 def _four_vertex_leaf_parts():

@@ -88,15 +88,29 @@ def test_solve_json_stable_keys(tmp_path, capsys):
     assert record["answer"] == "YES"
     assert record["witness"] == [1, 2]
     assert record["activated"] == 3
-    # one stats schema for every algorithm with --stats, and {} without it
+    # one stats schema for every algorithm with --stats, and {} without it; every
+    # value is an int, never a bool
+    schema = [
+        "rr1_moves", "bound_prunes", "br1_apps", "br1_children", "br2_leaves", "leaf_seeds",
+        "stage2_covers", "quota_branches", "member_branches", "stage2_leaves", "dp_states",
+        "rr3_moves", "r4_apps", "r4_children", "r5_apps", "r5_children", "part1_max_size",
+        "part1_found", "leaf_bruteforces", "dual_nodes", "dual_peels", "branch_nodes",
+        "leaf_nodes", "leaf_subsets", "emitted",
+    ]
+    assert list(Stats().as_dict()) == schema
     path = _write(tmp_path, "k3t1.tss", K3_THR1)
     for command, algos in (("solve", SOLVE_ALGOS), ("perfect", PERFECT_ALGOS)):
         for algo in algos:
-            for flags, keys in (([], []), (["--stats"], list(Stats().as_dict()))):
+            for flags, keys in (([], []), (["--stats"], schema)):
                 assert run([command, path, "--algo", algo, "--json", *flags]) == 0
                 stats = json.loads(capsys.readouterr().out)["stats"]
                 assert list(stats) == keys, (command, algo, flags)
                 assert all(type(value) is int for value in stats.values())
+    # part 1 answers a 20-vertex path of thresholds 1, and part1_found reads 1, not true
+    path = _write(tmp_path, "path20.tss", write_instance(path_instance((1,) * 20)))
+    assert run(["perfect", path, "--algo", "thr2", "--json", "--stats"]) == 0
+    found = json.loads(capsys.readouterr().out)["stats"]["part1_found"]
+    assert type(found) is int and found == 1
 
 
 def test_bounded_stats_count_stage2_covers(tmp_path, capsys):

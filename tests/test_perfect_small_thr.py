@@ -16,10 +16,13 @@ from tss import (
     solve_perfect_thr2,
     solve_perfect_thr3,
 )
+import tss.perfect_small_thr as perfect_small_thr
 from tss.perfect_small_thr import PART1_GAMMA_THR2, PART1_GAMMA_THR3
 from tss.stats import Stats
 
-from helpers import complete_instance, graphs, path_instance, rand_gnp_instance, star_graph
+from helpers import (
+    complete_instance, graphs, path_instance, rand_gnp_instance, record_br1_splits, star_graph,
+)
 
 
 def gadget_leaf_ids(n: int, t: int) -> frozenset[int]:
@@ -204,23 +207,26 @@ def test_rule_counters_on_frozen_instance():
     stats = Stats()
     got = solve_perfect_thr3(inst, stats)
     assert stats.r5_apps >= 1
-    assert all(c == 7 for c in stats.r5_children)
+    assert stats.r5_children == 7 * stats.r5_apps
     assert stats.r4_apps >= 1
-    assert all(c == 3 for c in stats.r4_children)
+    assert stats.r4_children == 3 * stats.r4_apps
     assert len(got) == len(oracle_min_perfect_tss(inst))
 
 
-def test_rule_counters_on_corpus():
+def test_rule_counters_on_corpus(monkeypatch):
     rng = random.Random(606)
     r4_seen = r5_seen = False
+    splits = record_br1_splits(monkeypatch, perfect_small_thr)
     for _ in range(60):
         t = rng.choice([2, 3])
         inst = rand_gnp_instance(rng, rng.randint(4, 9), t, p=rng.choice([0.3, 0.5]))
         stats = Stats()
+        before = len(splits)
         (solve_perfect_thr2 if t == 2 else solve_perfect_thr3)(inst, stats)
-        assert all(c == 2 ** (tv + 1) - tv - 1 for tv, c in stats.br1_children)
-        assert all(c == 3 for c in stats.r4_children)
-        assert all(c == 7 for c in stats.r5_children)
+        assert all(c == 2 ** (tv + 1) - tv - 1 for tv, c in splits[before:])
+        assert stats.br1_children == sum(c for _, c in splits[before:])
+        assert stats.r4_children == 3 * stats.r4_apps
+        assert stats.r5_children == 7 * stats.r5_apps
         r4_seen = r4_seen or stats.r4_apps > 0
         r5_seen = r5_seen or stats.r5_apps > 0
     assert r4_seen
